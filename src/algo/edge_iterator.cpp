@@ -1,8 +1,6 @@
 #include "src/algo/edge_iterator.h"
 
-#include <span>
-#include <type_traits>
-
+#include "src/algo/fundamental.h"
 #include "src/algo/sei_common.h"
 #include "src/algo/simd/intersect_engine.h"
 
@@ -13,37 +11,6 @@ using sei::SuffixAbove;
 
 namespace {
 
-/// Hook-free tag: `if constexpr` removes every attribution statement, so
-/// the default instantiations compile to exactly the pre-hook kernels.
-struct NoHook {};
-
-template <typename Hook>
-constexpr bool kHooked = !std::is_same_v<Hook, NoHook>;
-
-/// Default intersection policy: the shared scalar merge, with the hub and
-/// window arguments compiled away — the zero-overhead path every caller
-/// without an engine gets (bit-identical to the pre-backend kernels).
-struct DirectMerge {
-  template <typename Emit>
-  void operator()(std::span<const NodeId> a, simd::SpanOwner,
-                  std::span<const NodeId> b, simd::SpanOwner, NodeId,
-                  NodeId, int64_t* comparisons, Emit&& emit) const {
-    sei::MergeIntersect(a, b, comparisons, emit);
-  }
-};
-
-/// Engine-backed policy: routes every intersection, with its row owners
-/// and value window, through the selected backend.
-struct EngineIsect {
-  simd::IntersectEngine* engine;
-  template <typename Emit>
-  void operator()(std::span<const NodeId> a, simd::SpanOwner oa,
-                  std::span<const NodeId> b, simd::SpanOwner ob, NodeId lo,
-                  NodeId hi, int64_t* comparisons, Emit&& emit) const {
-    engine->Intersect(a, oa, b, ob, lo, hi, comparisons, emit);
-  }
-};
-
 // Attribution (Table 1): the local range is charged to the node whose
 // list it is (always the outer node, accumulated across its arcs); the
 // remote range is charged to the remote endpoint, one Record per arc.
@@ -51,36 +18,6 @@ struct EngineIsect {
 // Window arguments (see intersect_engine.h): each kernel's two operand
 // spans are row restrictions to one label interval — [0, y) for E1/E2,
 // (y, n) for E3/E5, (x, z) for E4/E6.
-
-template <typename Hook, typename Isect>
-OpCounts RunE1Impl(const OrientedGraph& g, TriangleSink* sink, Hook hook,
-                   Isect isect) {
-  OpCounts ops;
-  const size_t n = g.num_nodes();
-  for (size_t zi = 0; zi < n; ++zi) {
-    const auto z = static_cast<NodeId>(zi);
-    const auto out = g.OutNeighbors(z);
-    [[maybe_unused]] int64_t local_total = 0;
-    for (size_t idx = 0; idx < out.size(); ++idx) {
-      const NodeId y = out[idx];
-      const auto local = out.first(idx);  // elements of N+(z) below y
-      const auto remote = g.OutNeighbors(y);
-      ops.local_scans += static_cast<int64_t>(local.size());
-      ops.remote_scans += static_cast<int64_t>(remote.size());
-      if constexpr (kHooked<Hook>) {
-        local_total += static_cast<int64_t>(local.size());
-        hook->Record(y, static_cast<int64_t>(remote.size()));
-      }
-      isect(local, {z, true}, remote, {y, true}, 0, y,
-            &ops.merge_comparisons, [&](NodeId x) {
-              ++ops.triangles;
-              sink->Consume(x, y, z);
-            });
-    }
-    if constexpr (kHooked<Hook>) hook->Record(z, local_total);
-  }
-  return ops;
-}
 
 template <typename Hook, typename Isect>
 OpCounts RunE2Impl(const OrientedGraph& g, TriangleSink* sink, Hook hook,
@@ -136,36 +73,6 @@ OpCounts RunE3Impl(const OrientedGraph& g, TriangleSink* sink, Hook hook,
             });
     }
     if constexpr (kHooked<Hook>) hook->Record(x, local_total);
-  }
-  return ops;
-}
-
-template <typename Hook, typename Isect>
-OpCounts RunE4Impl(const OrientedGraph& g, TriangleSink* sink, Hook hook,
-                   Isect isect) {
-  OpCounts ops;
-  const size_t n = g.num_nodes();
-  for (size_t zi = 0; zi < n; ++zi) {
-    const auto z = static_cast<NodeId>(zi);
-    const auto out = g.OutNeighbors(z);
-    [[maybe_unused]] int64_t local_total = 0;
-    for (size_t idx = 0; idx < out.size(); ++idx) {
-      const NodeId x = out[idx];
-      const auto local = out.subspan(idx + 1);  // y candidates above x
-      const auto remote = PrefixBelow(g.InNeighbors(x), z);
-      ops.local_scans += static_cast<int64_t>(local.size());
-      ops.remote_scans += static_cast<int64_t>(remote.size());
-      if constexpr (kHooked<Hook>) {
-        local_total += static_cast<int64_t>(local.size());
-        hook->Record(x, static_cast<int64_t>(remote.size()));
-      }
-      isect(local, {z, true}, remote, {x, false}, x + 1, z,
-            &ops.merge_comparisons, [&](NodeId y) {
-              ++ops.triangles;
-              sink->Consume(x, y, z);
-            });
-    }
-    if constexpr (kHooked<Hook>) hook->Record(z, local_total);
   }
   return ops;
 }
@@ -232,41 +139,48 @@ OpCounts RunE6Impl(const OrientedGraph& g, TriangleSink* sink, Hook hook,
   return ops;
 }
 
-/// Four-way dispatch shared by the six public pairs: hooked or not,
-/// engine-backed or the direct merge path.
-template <typename Impl>
-OpCounts Dispatch(Impl impl, NodeOpsHook* hook,
-                  simd::IntersectEngine* engine) {
-  if (engine != nullptr &&
-      engine->backend() != IntersectBackend::kMerge) {
-    return hook != nullptr ? impl(hook, EngineIsect{engine})
-                           : impl(NoHook{}, EngineIsect{engine});
-  }
-  return hook != nullptr ? impl(hook, DirectMerge{})
-                         : impl(NoHook{}, DirectMerge{});
-}
-
 }  // namespace
 
-#define TRILIST_DEFINE_SEI(NAME)                                         \
-  OpCounts NAME(const OrientedGraph& g, TriangleSink* sink,              \
-                NodeOpsHook* hook) {                                     \
-    return NAME(g, sink, nullptr, hook);                                 \
-  }                                                                      \
-  OpCounts NAME(const OrientedGraph& g, TriangleSink* sink,              \
-                simd::IntersectEngine* engine, NodeOpsHook* hook) {      \
-    return Dispatch(                                                     \
-        [&](auto h, auto isect) { return NAME##Impl(g, sink, h, isect); }, \
-        hook, engine);                                                   \
+#define TRILIST_DEFINE_SEI(NAME)                                          \
+  OpCounts NAME(const OrientedGraph& g, TriangleSink* sink,               \
+                NodeOpsHook* hook) {                                      \
+    return NAME(g, sink, nullptr, hook);                                  \
+  }                                                                       \
+  OpCounts NAME(const OrientedGraph& g, TriangleSink* sink,               \
+                simd::IntersectEngine* engine, NodeOpsHook* hook) {       \
+    return WithHook(hook, [&](auto h) {                                   \
+      return sei::WithIsect(engine, [&](auto isect) {                     \
+        return NAME##Impl(g, sink, h, isect);                             \
+      });                                                                 \
+    });                                                                   \
   }
 
-TRILIST_DEFINE_SEI(RunE1)
 TRILIST_DEFINE_SEI(RunE2)
 TRILIST_DEFINE_SEI(RunE3)
-TRILIST_DEFINE_SEI(RunE4)
 TRILIST_DEFINE_SEI(RunE5)
 TRILIST_DEFINE_SEI(RunE6)
 
 #undef TRILIST_DEFINE_SEI
+
+// E1 and E4 are fundamental: one slice kernel serves serial and parallel.
+OpCounts RunE1(const OrientedGraph& g, TriangleSink* sink,
+               NodeOpsHook* hook) {
+  return RunE1(g, sink, nullptr, hook);
+}
+
+OpCounts RunE1(const OrientedGraph& g, TriangleSink* sink,
+               simd::IntersectEngine* engine, NodeOpsHook* hook) {
+  return RunFundamental(Method::kE1, g, nullptr, sink, hook, engine);
+}
+
+OpCounts RunE4(const OrientedGraph& g, TriangleSink* sink,
+               NodeOpsHook* hook) {
+  return RunE4(g, sink, nullptr, hook);
+}
+
+OpCounts RunE4(const OrientedGraph& g, TriangleSink* sink,
+               simd::IntersectEngine* engine, NodeOpsHook* hook) {
+  return RunFundamental(Method::kE4, g, nullptr, sink, hook, engine);
+}
 
 }  // namespace trilist

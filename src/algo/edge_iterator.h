@@ -37,6 +37,9 @@
 /// A null engine, or one configured for the default merge backend,
 /// selects the exact same direct-merge instantiation as the two-argument
 /// form. Triangles and emission order are identical for every backend.
+///
+/// E1 and E4 are fundamental: they run the slice kernels of fundamental.h
+/// over the whole iteration space.
 
 namespace trilist {
 

@@ -1,9 +1,9 @@
 #include "src/algo/lookup_iterator.h"
 
-#include <algorithm>
 #include <span>
-#include <type_traits>
 #include <vector>
+
+#include "src/algo/sei_common.h"
 
 namespace trilist {
 
@@ -24,18 +24,7 @@ class MarkerSet {
   uint64_t epoch_ = 0;
 };
 
-std::span<const NodeId> SuffixAbove(std::span<const NodeId> list,
-                                    NodeId bound) {
-  const auto it = std::upper_bound(list.begin(), list.end(), bound);
-  return list.subspan(static_cast<size_t>(it - list.begin()));
-}
-
-/// Hook-free tag: `if constexpr` removes every attribution statement, so
-/// the default instantiations compile to exactly the pre-hook kernels.
-struct NoHook {};
-
-template <typename Hook>
-constexpr bool kHooked = !std::is_same_v<Hook, NoHook>;
+using sei::SuffixAbove;
 
 // Attribution (Table 2): every probe is charged to the node whose list is
 // scanned remotely; hash inserts are excluded from the lookup class.

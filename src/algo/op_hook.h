@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <type_traits>
 
 #include "src/graph/graph.h"  // NodeId
 
@@ -37,5 +38,20 @@ class NodeOpsHook {
   /// oriented graph the kernel runs on).
   virtual void Record(NodeId v, int64_t ops) = 0;
 };
+
+/// Hook-free tag for the kernel templates: `if constexpr (kHooked<Hook>)`
+/// removes every attribution statement, so the default instantiations
+/// compile to exactly the pre-hook kernels.
+struct NoHook {};
+
+template <typename Hook>
+constexpr bool kHooked = !std::is_same_v<Hook, NoHook>;
+
+/// Calls run(hook) when a hook is attached, else run(NoHook{}): picks the
+/// hooked or the hook-free kernel instantiation.
+template <typename Run>
+auto WithHook(NodeOpsHook* hook, Run&& run) {
+  return hook != nullptr ? run(hook) : run(NoHook{});
+}
 
 }  // namespace trilist

@@ -4,8 +4,8 @@
 #include <cstddef>
 #include <vector>
 
+#include "src/algo/fundamental.h"
 #include "src/algo/registry.h"
-#include "src/algo/sei_common.h"
 #include "src/algo/simd/intersect_engine.h"
 #include "src/obs/trace.h"
 #include "src/util/parallel_for.h"
@@ -14,20 +14,6 @@
 namespace trilist {
 
 namespace {
-
-/// A boundary in the concatenated outer iteration space: the first
-/// (node, outer position) pair owned by a chunk. Cuts with pos > 0 land
-/// inside a node's range — that is how hubs get split across workers.
-struct Cut {
-  NodeId node = 0;
-  size_t pos = 0;
-};
-
-/// Length of the outer position range of node v under method m.
-size_t OuterLen(Method m, const OrientedGraph& g, NodeId v) {
-  return static_cast<size_t>(m == Method::kT2 ? g.InDegree(v)
-                                              : g.OutDegree(v));
-}
 
 /// Paper-cost weight of one outer position (see the header): the work the
 /// serial kernel performs at (v, p). The planner adds 1 per position on
@@ -96,126 +82,6 @@ std::vector<Cut> PlanCuts(Method m, const OrientedGraph& g,
   return cuts;
 }
 
-/// Output of one chunk: exact counters plus the triangles in the order
-/// the serial engine would have emitted them within the slice.
-struct ChunkResult {
-  OpCounts ops;
-  std::vector<Triangle> triangles;
-};
-
-void RunSliceT1(const OrientedGraph& g, const DirectedEdgeSet& arcs,
-                NodeId z, size_t p0, size_t p1, ChunkResult* out) {
-  const auto list = g.OutNeighbors(z);
-  for (size_t b = p0; b < p1; ++b) {
-    const NodeId y = list[b];
-    for (size_t a = 0; a < b; ++a) {
-      const NodeId x = list[a];
-      ++out->ops.candidate_checks;
-      if (arcs.Contains(y, x)) {
-        ++out->ops.triangles;
-        out->triangles.push_back({x, y, z});
-      }
-    }
-  }
-}
-
-void RunSliceT2(const OrientedGraph& g, const DirectedEdgeSet& arcs,
-                NodeId y, size_t p0, size_t p1, ChunkResult* out) {
-  const auto in = g.InNeighbors(y);
-  const auto outs = g.OutNeighbors(y);
-  for (size_t zi = p0; zi < p1; ++zi) {
-    const NodeId z = in[zi];
-    for (const NodeId x : outs) {
-      ++out->ops.candidate_checks;
-      if (arcs.Contains(z, x)) {
-        ++out->ops.triangles;
-        out->triangles.push_back({x, y, z});
-      }
-    }
-  }
-}
-
-/// One backend-routed intersection of a slice; a null engine is the
-/// direct scalar merge (the default path, bit-identical to the serial
-/// kernels — which route through the very same seam).
-template <typename Emit>
-void SliceIntersect(simd::IntersectEngine* engine,
-                    std::span<const NodeId> a, simd::SpanOwner oa,
-                    std::span<const NodeId> b, simd::SpanOwner ob,
-                    NodeId lo, NodeId hi, int64_t* comparisons,
-                    Emit&& emit) {
-  if (engine != nullptr) {
-    engine->Intersect(a, oa, b, ob, lo, hi, comparisons, emit);
-  } else {
-    sei::MergeIntersect(a, b, comparisons, emit);
-  }
-}
-
-void RunSliceE1(const OrientedGraph& g, NodeId z, size_t p0, size_t p1,
-                ChunkResult* out, simd::IntersectEngine* engine) {
-  const auto outs = g.OutNeighbors(z);
-  for (size_t idx = p0; idx < p1; ++idx) {
-    const NodeId y = outs[idx];
-    const auto local = outs.first(idx);  // elements of N+(z) below y
-    const auto remote = g.OutNeighbors(y);
-    out->ops.local_scans += static_cast<int64_t>(local.size());
-    out->ops.remote_scans += static_cast<int64_t>(remote.size());
-    SliceIntersect(engine, local, {z, true}, remote, {y, true}, 0, y,
-                   &out->ops.merge_comparisons, [&](NodeId x) {
-                     ++out->ops.triangles;
-                     out->triangles.push_back({x, y, z});
-                   });
-  }
-}
-
-void RunSliceE4(const OrientedGraph& g, NodeId z, size_t p0, size_t p1,
-                ChunkResult* out, simd::IntersectEngine* engine) {
-  const auto outs = g.OutNeighbors(z);
-  for (size_t idx = p0; idx < p1; ++idx) {
-    const NodeId x = outs[idx];
-    const auto local = outs.subspan(idx + 1);  // y candidates above x
-    const auto remote = sei::PrefixBelow(g.InNeighbors(x), z);
-    out->ops.local_scans += static_cast<int64_t>(local.size());
-    out->ops.remote_scans += static_cast<int64_t>(remote.size());
-    SliceIntersect(engine, local, {z, true}, remote, {x, false},
-                   x + 1, z, &out->ops.merge_comparisons, [&](NodeId y) {
-                     ++out->ops.triangles;
-                     out->triangles.push_back({x, y, z});
-                   });
-  }
-}
-
-void RunSlice(Method m, const OrientedGraph& g, const DirectedEdgeSet& arcs,
-              NodeId v, size_t p0, size_t p1, ChunkResult* out,
-              simd::IntersectEngine* engine) {
-  if (p0 >= p1) return;
-  switch (m) {
-    case Method::kT1: RunSliceT1(g, arcs, v, p0, p1, out); break;
-    case Method::kT2: RunSliceT2(g, arcs, v, p0, p1, out); break;
-    case Method::kE1: RunSliceE1(g, v, p0, p1, out, engine); break;
-    case Method::kE4: RunSliceE4(g, v, p0, p1, out, engine); break;
-    default: TRILIST_DCHECK(false);
-  }
-}
-
-/// Runs the slices covering [lo, hi): full node ranges in the middle,
-/// partial ranges where a cut split a node.
-void RunChunk(Method m, const OrientedGraph& g, const DirectedEdgeSet& arcs,
-              Cut lo, Cut hi, ChunkResult* out,
-              simd::IntersectEngine* engine) {
-  const size_t n = g.num_nodes();
-  NodeId v = lo.node;
-  size_t start = lo.pos;
-  while (v < n && v < hi.node) {
-    RunSlice(m, g, arcs, v, start, OuterLen(m, g, v), out, engine);
-    ++v;
-    start = 0;
-  }
-  if (v < n && v == hi.node && start < hi.pos) {
-    RunSlice(m, g, arcs, v, start, hi.pos, out, engine);
-  }
-}
-
 /// Field-wise accumulation; all counters are exact integer sums over a
 /// partition of the serial iteration space, so order cannot matter.
 void AddInto(OpCounts* total, const OpCounts& part) {
@@ -259,12 +125,16 @@ OpCounts RunMethodParallel(Method m, const OrientedGraph& g,
                             static_cast<size_t>(
                                 std::max(1, policy.chunks_per_thread));
   const std::vector<Cut> cuts = PlanCuts(m, g, num_chunks);
-  std::vector<ChunkResult> results(num_chunks);
+  // A counting sink needs no triangles: each chunk keeps only its
+  // OpCounts, and the sink is credited once with the exact total. Any
+  // other sink gets every chunk's triangles replayed in chunk order.
+  CountingSink* counter = dynamic_cast<CountingSink*>(sink);
+  std::vector<OpCounts> ops(num_chunks);
+  std::vector<CollectingSink> buffers(counter != nullptr ? 0 : num_chunks);
   // One immutable bitmap index shared by every worker; each chunk gets
   // its own engine (the engine's scratch buffer is not thread-safe).
   const std::shared_ptr<const simd::BitmapIndex> index =
       simd::EnsureBitmapIndex(policy, g);
-  const bool routed = policy.intersect != IntersectBackend::kMerge;
   ThreadPool pool(threads);
   pool.ParallelFor(num_chunks, [&](size_t c) {
     obs::TraceSpan span("chunk");
@@ -272,15 +142,22 @@ OpCounts RunMethodParallel(Method m, const OrientedGraph& g,
     span.Arg("shard", static_cast<int64_t>(c));
     span.Arg("v_begin", static_cast<int64_t>(cuts[c].node));
     simd::IntersectEngine engine(policy.intersect, index.get());
-    RunChunk(m, g, arcs, cuts[c], cuts[c + 1], &results[c],
-             routed ? &engine : nullptr);
-    span.Arg("ops", results[c].ops.PaperCost());
+    ops[c] = RunSlice(m, g, &arcs, cuts[c], cuts[c + 1],
+                      counter != nullptr ? nullptr : &buffers[c], nullptr,
+                      &engine);
+    span.Arg("ops", ops[c].PaperCost());
   });
-  // Deterministic merge: chunk order is serial order.
   OpCounts total;
-  for (const ChunkResult& r : results) {
-    AddInto(&total, r.ops);
-    for (const Triangle& t : r.triangles) sink->Consume(t.x, t.y, t.z);
+  for (const OpCounts& part : ops) AddInto(&total, part);
+  if (counter != nullptr) {
+    counter->Add(static_cast<uint64_t>(total.triangles));
+  } else {
+    // Deterministic merge: chunk order is serial order.
+    for (const CollectingSink& chunk : buffers) {
+      for (const Triangle& t : chunk.triangles()) {
+        sink->Consume(t.x, t.y, t.z);
+      }
+    }
   }
   return total;
 }

@@ -12,24 +12,31 @@
 /// E1, E4 (the paper's non-isomorphic representatives, Section 2).
 ///
 /// ## Partitioning
-/// The serial kernels are loops over an outer iteration space: for every
-/// node v, a per-node range of "outer positions" (pair index, in-list
-/// index, or arc index depending on the method). The planner assigns each
-/// position its paper-cost weight — pairs below it for T1, X_v for T2,
-/// local + remote list lengths for E1/E4 — and cuts the concatenated
+/// The kernels are the slices of fundamental.h: loops over an outer
+/// iteration space of (node, outer position) pairs. The planner assigns
+/// each position its paper-cost weight — pairs below it for T1, X_v for
+/// T2, local + remote list lengths for E1/E4 — and cuts the concatenated
 /// position space into chunks of (approximately) equal total weight.
 /// Cuts may land *inside* a node's range: a Pareto hub whose quadratic
 /// work exceeds a chunk budget is split across as many chunks (and hence
 /// workers) as its weight demands, so no single vertex can serialize the
-/// run. Chunks are claimed dynamically from the pool's atomic counter.
+/// run. Chunks are claimed dynamically from the pool's atomic counter,
+/// and each runs the same slice kernel the serial engine runs.
 ///
 /// ## Determinism
-/// Chunks are contiguous slices of the *serial* iteration order, each
-/// chunk accumulates into its own OpCounts and triangle buffer, and the
-/// merge replays chunks in index order. Parallel runs therefore emit the
-/// exact same triangle sequence to the sink and report bit-identical
-/// OpCounts (all counters are exact integer sums over a partition of the
-/// serial iteration space) for every thread count, including 1.
+/// Chunks are contiguous slices of the *serial* iteration order and each
+/// accumulates its own OpCounts, so every counter is an exact integer sum
+/// over a partition of the serial iteration space: bit-identical to the
+/// serial run for every thread count, including 1. How triangles reach
+/// the sink depends on the sink:
+///  - A CountingSink only needs the total. Chunks run the count-only
+///    instantiation, reduce to their OpCounts, and the sink is credited
+///    once with the exact total. No triangle is stored, so memory stays
+///    at the serial level whatever the triangle count.
+///  - Any other sink (CollectingSink, CallbackSink, ...) may depend on
+///    emission order. Each chunk buffers its triangles, and the merge
+///    replays the chunks in index order, so the sink sees exactly the
+///    serial sequence.
 ///
 /// Methods outside {T1, T2, E1, E4} fall back to the serial engine.
 

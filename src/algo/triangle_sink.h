@@ -32,10 +32,14 @@ class TriangleSink {
   virtual void Consume(NodeId x, NodeId y, NodeId z) = 0;
 };
 
-/// Counts triangles without storing them.
-class CountingSink : public TriangleSink {
+/// Counts triangles without storing them. Final, so the parallel engine
+/// can recognise it: its chunks skip per-triangle emission for a
+/// CountingSink, which is credited once with the exact total via Add().
+class CountingSink final : public TriangleSink {
  public:
   void Consume(NodeId, NodeId, NodeId) override { ++count_; }
+  /// Credits `triangles` triangles at once.
+  void Add(uint64_t triangles) { count_ += triangles; }
   /// Number of triangles consumed.
   uint64_t count() const { return count_; }
 

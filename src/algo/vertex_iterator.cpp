@@ -1,71 +1,10 @@
 #include "src/algo/vertex_iterator.h"
 
-#include <type_traits>
+#include "src/algo/fundamental.h"
 
 namespace trilist {
 
 namespace {
-
-/// Hook-free tag: `if constexpr` removes every attribution statement, so
-/// the default instantiations compile to exactly the pre-hook kernels.
-struct NoHook {};
-
-template <typename Hook>
-constexpr bool kHooked = !std::is_same_v<Hook, NoHook>;
-
-template <typename Hook>
-OpCounts RunT1Impl(const OrientedGraph& g, const DirectedEdgeSet& arcs,
-                   TriangleSink* sink, Hook hook) {
-  OpCounts ops;
-  const size_t n = g.num_nodes();
-  for (size_t zi = 0; zi < n; ++zi) {
-    const auto z = static_cast<NodeId>(zi);
-    const auto out = g.OutNeighbors(z);
-    [[maybe_unused]] const int64_t before = ops.candidate_checks;
-    // Pairs x < y; lists are sorted, so index order is label order.
-    for (size_t b = 1; b < out.size(); ++b) {
-      const NodeId y = out[b];
-      for (size_t a = 0; a < b; ++a) {
-        const NodeId x = out[a];
-        ++ops.candidate_checks;
-        if (arcs.Contains(y, x)) {
-          ++ops.triangles;
-          sink->Consume(x, y, z);
-        }
-      }
-    }
-    if constexpr (kHooked<Hook>) {
-      hook->Record(z, ops.candidate_checks - before);
-    }
-  }
-  return ops;
-}
-
-template <typename Hook>
-OpCounts RunT2Impl(const OrientedGraph& g, const DirectedEdgeSet& arcs,
-                   TriangleSink* sink, Hook hook) {
-  OpCounts ops;
-  const size_t n = g.num_nodes();
-  for (size_t yi = 0; yi < n; ++yi) {
-    const auto y = static_cast<NodeId>(yi);
-    const auto in = g.InNeighbors(y);
-    const auto out = g.OutNeighbors(y);
-    [[maybe_unused]] const int64_t before = ops.candidate_checks;
-    for (const NodeId z : in) {
-      for (const NodeId x : out) {
-        ++ops.candidate_checks;
-        if (arcs.Contains(z, x)) {
-          ++ops.triangles;
-          sink->Consume(x, y, z);
-        }
-      }
-    }
-    if constexpr (kHooked<Hook>) {
-      hook->Record(y, ops.candidate_checks - before);
-    }
-  }
-  return ops;
-}
 
 template <typename Hook>
 OpCounts RunT3Impl(const OrientedGraph& g, const DirectedEdgeSet& arcs,
@@ -179,14 +118,12 @@ OpCounts RunT6Impl(const OrientedGraph& g, const DirectedEdgeSet& arcs,
 
 OpCounts RunT1(const OrientedGraph& g, const DirectedEdgeSet& arcs,
                TriangleSink* sink, NodeOpsHook* hook) {
-  return hook != nullptr ? RunT1Impl(g, arcs, sink, hook)
-                         : RunT1Impl(g, arcs, sink, NoHook{});
+  return RunFundamental(Method::kT1, g, &arcs, sink, hook, nullptr);
 }
 
 OpCounts RunT2(const OrientedGraph& g, const DirectedEdgeSet& arcs,
                TriangleSink* sink, NodeOpsHook* hook) {
-  return hook != nullptr ? RunT2Impl(g, arcs, sink, hook)
-                         : RunT2Impl(g, arcs, sink, NoHook{});
+  return RunFundamental(Method::kT2, g, &arcs, sink, hook, nullptr);
 }
 
 OpCounts RunT3(const OrientedGraph& g, const DirectedEdgeSet& arcs,

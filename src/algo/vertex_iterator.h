@@ -21,6 +21,9 @@
 /// The optional `hook` reports each visited node's candidate-check count
 /// (the per-node class cost above) to the observability layer; nullptr —
 /// the default — selects a hook-free instantiation with zero overhead.
+///
+/// T1 and T2 are fundamental: they run the slice kernels of fundamental.h
+/// over the whole iteration space.
 
 namespace trilist {
 

@@ -39,10 +39,15 @@ struct ThreadBuffer {
 
 /// All thread buffers ever registered. Buffers are never destroyed while
 /// the process runs (Clear resets them in place), so the thread_local
-/// pointers below can never dangle, even across tracer sessions.
+/// pointers below can never dangle, even across tracer sessions. A
+/// thread that exits returns its buffer to `free`, events included; the
+/// next new thread takes it before anything is allocated, so a process
+/// that starts threads in a loop holds as many buffers as it has live
+/// recording threads, not as many as it ever started.
 struct Registry {
   std::mutex mu;
   std::vector<std::unique_ptr<ThreadBuffer>> buffers;
+  std::vector<ThreadBuffer*> free;
 };
 
 Registry& GetRegistry() {
@@ -60,16 +65,35 @@ uint64_t SteadyNowNs() {
           .count());
 }
 
-ThreadBuffer* LocalBuffer() {
-  thread_local ThreadBuffer* buffer = nullptr;
-  if (buffer == nullptr) {
+/// The calling thread's claim on a buffer, handed back at thread exit.
+/// The registry mutex orders the exiting writer before the next one.
+struct LocalSlot {
+  ThreadBuffer* buffer = nullptr;
+
+  ~LocalSlot() {
+    if (buffer == nullptr) return;
     Registry& registry = GetRegistry();
     const std::lock_guard<std::mutex> lock(registry.mu);
-    registry.buffers.push_back(std::make_unique<ThreadBuffer>(
-        static_cast<uint32_t>(registry.buffers.size())));
-    buffer = registry.buffers.back().get();
+    registry.free.push_back(buffer);
+    buffer = nullptr;
   }
-  return buffer;
+};
+
+ThreadBuffer* LocalBuffer() {
+  thread_local LocalSlot slot;
+  if (slot.buffer == nullptr) {
+    Registry& registry = GetRegistry();
+    const std::lock_guard<std::mutex> lock(registry.mu);
+    if (!registry.free.empty()) {
+      slot.buffer = registry.free.back();
+      registry.free.pop_back();
+    } else {
+      registry.buffers.push_back(std::make_unique<ThreadBuffer>(
+          static_cast<uint32_t>(registry.buffers.size())));
+      slot.buffer = registry.buffers.back().get();
+    }
+  }
+  return slot.buffer;
 }
 
 }  // namespace
@@ -77,7 +101,11 @@ ThreadBuffer* LocalBuffer() {
 std::atomic<bool> Tracer::enabled_{false};
 
 void Tracer::Enable() {
-  g_epoch_ns.store(SteadyNowNs(), std::memory_order_relaxed);
+  // Keep the running clock: a span open across Disable/Enable must close
+  // on the epoch it opened on. Only the very first session starts it.
+  uint64_t unset = 0;
+  g_epoch_ns.compare_exchange_strong(unset, SteadyNowNs(),
+                                     std::memory_order_relaxed);
   enabled_.store(true, std::memory_order_release);
 }
 

@@ -73,6 +73,8 @@ class Tracer {
   static constexpr size_t kEventsPerThread = 1 << 14;
 
   /// Turns recording on. Spans opened before Enable are not recorded.
+  /// The time epoch is kept (the first Enable of the process starts it),
+  /// so a span open across Disable/Enable keeps an exact duration.
   static void Enable();
   /// Turns recording off; already recorded events are kept for flushing.
   static void Disable();
@@ -82,7 +84,8 @@ class Tracer {
   }
 
   /// Discards all recorded events and drop counts and restarts the time
-  /// epoch. Thread buffers stay registered (worker pools keep their ids).
+  /// epoch — the only call that does. Thread buffers stay registered
+  /// (worker pools keep their ids).
   static void Clear();
 
   /// Number of recorded (not dropped) events across all threads.
@@ -93,7 +96,8 @@ class Tracer {
   /// The complete Chrome trace-event document: {"displayTimeUnit",
   /// "otherData" (build provenance + drop counter), "traceEvents": [...]}.
   /// Timestamps are microseconds with nanosecond resolution, relative to
-  /// the epoch of the last Enable/Clear.
+  /// the epoch of the last Clear (or the first Enable). A "tid" names a
+  /// buffer: threads that ran one after another may share one.
   static std::string ToChromeJson();
 
   /// Writes ToChromeJson() to `path`.

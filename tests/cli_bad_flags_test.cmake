@@ -1,0 +1,30 @@
+# Numeric flags must parse in full: a value with trailing garbage, or no
+# digits at all, is a usage error (exit 2) instead of a silent 0 ("all
+# cores" for --threads) or a truncated number.
+function(expect_usage_error)
+  execute_process(
+    COMMAND "${CLI}" ${ARGN}
+    RESULT_VARIABLE result OUTPUT_VARIABLE out ERROR_VARIABLE err)
+  if(NOT result EQUAL 2)
+    message(FATAL_ERROR
+            "'${ARGN}' exited ${result}, expected 2: ${out} ${err}")
+  endif()
+  if(NOT err MATCHES "not a valid number")
+    message(FATAL_ERROR "'${ARGN}' printed no diagnostic: ${err}")
+  endif()
+endfunction()
+
+# --n 50 keeps the run short should a bad value ever be accepted again.
+expect_usage_error(run --n 50 --threads abc)
+expect_usage_error(run --n 12x)
+expect_usage_error(run --n 50 --alpha 1.7z)
+expect_usage_error(run --n -5)
+expect_usage_error(run --n " -5")
+
+# A well-formed value still runs.
+execute_process(
+  COMMAND "${CLI}" run --n 50 --threads 2
+  RESULT_VARIABLE ok_result OUTPUT_VARIABLE ok_out ERROR_VARIABLE ok_err)
+if(NOT ok_result EQUAL 0)
+  message(FATAL_ERROR "run --n 50 --threads 2 failed: ${ok_out} ${ok_err}")
+endif()

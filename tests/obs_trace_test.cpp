@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <cstdlib>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -157,6 +160,53 @@ TEST_F(TraceTest, EachThreadRecordsIntoItsOwnBuffer) {
   EXPECT_EQ(Tracer::EventCount(),
             static_cast<size_t>(kThreads) * kSpansPerThread + 1);
   EXPECT_EQ(Tracer::DroppedCount(), 0u);
+}
+
+TEST_F(TraceTest, EnableKeepsTheClockForSpansOpenAcrossDisable) {
+  using std::chrono::milliseconds;
+  // Let the epoch age first, so a clock restarted by Enable would put
+  // the span's end before its start.
+  std::this_thread::sleep_for(milliseconds(10));
+  Tracer::Enable();
+  {
+    TraceSpan span("across");
+    Tracer::Disable();
+    std::this_thread::sleep_for(milliseconds(20));
+    Tracer::Enable();
+  }
+  Tracer::Disable();
+  ASSERT_EQ(Tracer::EventCount(), 1u);
+  const std::string json = Tracer::ToChromeJson();
+  const size_t at = json.find("\"dur\": ");
+  ASSERT_NE(at, std::string::npos) << json;
+  const double dur_us = std::strtod(json.c_str() + at + 7, nullptr);
+  EXPECT_GE(dur_us, 20e3) << json;  // covers the sleep
+  EXPECT_LT(dur_us, 60e6) << json;  // and did not wrap around
+}
+
+TEST_F(TraceTest, ExitedThreadsHandTheirBuffersOn) {
+  constexpr int kThreads = 64;
+  Tracer::Enable();
+  // One thread at a time: each takes the buffer its predecessor left.
+  for (int t = 0; t < kThreads; ++t) {
+    std::thread([] { TraceSpan span("short_lived"); }).join();
+  }
+  Tracer::Disable();
+  // Every span is still exported, though the buffers were passed on, and
+  // an event's "tid" names its buffer: only a few buffers were used.
+  EXPECT_EQ(Tracer::EventCount(), static_cast<size_t>(kThreads));
+  const std::string json = Tracer::ToChromeJson();
+  size_t spans = 0;
+  std::set<long> tids;
+  for (size_t at = json.find("\"short_lived\""); at != std::string::npos;
+       at = json.find("\"short_lived\"", at + 1)) {
+    ++spans;
+    const size_t tid = json.find("\"tid\": ", at);
+    ASSERT_NE(tid, std::string::npos) << json;
+    tids.insert(std::strtol(json.c_str() + tid + 7, nullptr, 10));
+  }
+  EXPECT_EQ(spans, static_cast<size_t>(kThreads));
+  EXPECT_LE(tids.size(), 2u) << json;
 }
 
 TEST_F(TraceTest, WriteChromeJsonRoundTrips) {

@@ -150,6 +150,15 @@ TEST(ParallelEngineTest, MatchesSerialOnAllFamiliesMethodsAndWidths) {
           // chunks in serial order, so the emission sequence is identical.
           EXPECT_EQ(serial_sink.triangles(), parallel_sink.triangles())
               << label;
+          // The count-only path reduces per chunk and lists nothing; its
+          // counters and the credited total are the same.
+          CountingSink counting_sink;
+          const OpCounts counted =
+              RunMethodParallel(m, og, arcs, &counting_sink, exec);
+          ExpectSameOps(serial, counted, label + "/counting");
+          EXPECT_EQ(counting_sink.count(),
+                    static_cast<uint64_t>(serial.triangles))
+              << label;
         }
       }
     }

@@ -111,6 +111,8 @@
 /// orientation when one matches the requested --order/--seed.
 
 #include <algorithm>
+#include <cctype>
+#include <cerrno>
 #include <csignal>
 #include <cstddef>
 #include <cstdio>
@@ -184,16 +186,40 @@ class Flags {
     const auto it = values_.find(key);
     return it == values_.end() ? def : it->second;
   }
+  // Numeric flags must parse in full: "--threads abc" or "--n 12x" is a
+  // usage error (exit 2), never a silent 0 or a truncated value.
   double GetDouble(const std::string& key, double def) const {
     const std::string v = Get(key);
-    return v.empty() ? def : std::strtod(v.c_str(), nullptr);
+    if (v.empty()) return def;
+    char* end = nullptr;
+    errno = 0;
+    const double d = std::strtod(v.c_str(), &end);
+    if (*end != '\0' || errno == ERANGE) BadNumber(key, v);
+    return d;
   }
   uint64_t GetUint(const std::string& key, uint64_t def) const {
     const std::string v = Get(key);
-    return v.empty() ? def : std::strtoull(v.c_str(), nullptr, 10);
+    if (v.empty()) return def;
+    char* end = nullptr;
+    errno = 0;
+    const uint64_t u = std::strtoull(v.c_str(), &end, 10);
+    // strtoull skips blanks and wraps a '-', so the first char must be a
+    // digit.
+    if (!std::isdigit(static_cast<unsigned char>(v[0])) || *end != '\0' ||
+        errno == ERANGE) {
+      BadNumber(key, v);
+    }
+    return u;
   }
 
  private:
+  [[noreturn]] static void BadNumber(const std::string& key,
+                                     const std::string& value) {
+    std::fprintf(stderr, "--%s: '%s' is not a valid number\n", key.c_str(),
+                 value.c_str());
+    std::exit(2);
+  }
+
   std::map<std::string, std::string> values_;
 };
 

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "src/algo/edge_iterator.h"
+#include "src/algo/intersect.h"
 #include "src/order/pipeline.h"
 
 namespace trilist {
@@ -67,21 +68,10 @@ OpCounts RunE1NoRelabel(const OrientedGraph& g, TriangleSink* sink) {
       const auto remote = g.OutNeighbors(y);
       ops.local_scans += static_cast<int64_t>(out.size());
       ops.remote_scans += static_cast<int64_t>(remote.size());
-      size_t i = 0;
-      size_t j = 0;
-      while (i < out.size() && j < remote.size()) {
-        ++ops.merge_comparisons;
-        if (out[i] < remote[j]) {
-          ++i;
-        } else if (out[i] > remote[j]) {
-          ++j;
-        } else {
-          ++ops.triangles;
-          sink->Consume(out[i], y, z);
-          ++i;
-          ++j;
-        }
-      }
+      ops.merge_comparisons += IntersectMergeT(out, remote, [&](NodeId x) {
+        ++ops.triangles;
+        sink->Consume(x, y, z);
+      });
     }
   }
   return ops;
@@ -134,21 +124,10 @@ OpCounts RunForward(const Graph& g, TriangleSink* sink) {
       const auto& av = a[v];
       ops.local_scans += static_cast<int64_t>(au.size());
       ops.remote_scans += static_cast<int64_t>(av.size());
-      size_t i = 0;
-      size_t j = 0;
-      while (i < au.size() && j < av.size()) {
-        ++ops.merge_comparisons;
-        if (au[i] < av[j]) {
-          ++i;
-        } else if (au[i] > av[j]) {
-          ++j;
-        } else {
-          ++ops.triangles;
-          EmitSortedOriginal(sink, node_at[au[i]], u, v);
-          ++i;
-          ++j;
-        }
-      }
+      ops.merge_comparisons += IntersectMergeT(au, av, [&](NodeId w) {
+        ++ops.triangles;
+        EmitSortedOriginal(sink, node_at[w], u, v);
+      });
       a[v].push_back(static_cast<NodeId>(s));
     }
   }

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "src/algo/simd/intersect_simd.h"
-
 namespace trilist {
 
 namespace intersect_internal {
@@ -35,79 +33,5 @@ int64_t GallopLowerBound(std::span<const NodeId> list, size_t lo, NodeId key,
 }
 
 }  // namespace intersect_internal
-
-namespace {
-
-/// Adapts a nullable C callback to the templated kernels' emit concept.
-struct CallbackEmit {
-  void (*emit)(NodeId, void*);
-  void* ctx;
-  void operator()(NodeId x) const {
-    if (emit != nullptr) emit(x, ctx);
-  }
-};
-
-}  // namespace
-
-int64_t IntersectMerge(std::span<const NodeId> a, std::span<const NodeId> b,
-                       void (*emit)(NodeId, void*), void* ctx) {
-  return IntersectMergeT(a, b, CallbackEmit{emit, ctx});
-}
-
-int64_t IntersectGallop(std::span<const NodeId> a,
-                        std::span<const NodeId> b,
-                        void (*emit)(NodeId, void*), void* ctx) {
-  return IntersectGallopT(a, b, CallbackEmit{emit, ctx});
-}
-
-int64_t IntersectAuto(std::span<const NodeId> a, std::span<const NodeId> b,
-                      void (*emit)(NodeId, void*), void* ctx) {
-  return IntersectAutoT(a, b, CallbackEmit{emit, ctx});
-}
-
-int64_t IntersectSimd(std::span<const NodeId> a, std::span<const NodeId> b,
-                      void (*emit)(NodeId, void*), void* ctx) {
-  return simd::IntersectSimdT(a, b, CallbackEmit{emit, ctx});
-}
-
-namespace {
-
-template <typename Kernel>
-int64_t CountWith(Kernel kernel, std::span<const NodeId> a,
-                  std::span<const NodeId> b) {
-  int64_t matches = 0;
-  kernel(a, b, [&matches](NodeId) { ++matches; });
-  return matches;
-}
-
-}  // namespace
-
-int64_t CountIntersectMerge(std::span<const NodeId> a,
-                            std::span<const NodeId> b) {
-  return CountWith(
-      [](auto x, auto y, auto&& e) { return IntersectMergeT(x, y, e); }, a,
-      b);
-}
-
-int64_t CountIntersectGallop(std::span<const NodeId> a,
-                             std::span<const NodeId> b) {
-  return CountWith(
-      [](auto x, auto y, auto&& e) { return IntersectGallopT(x, y, e); }, a,
-      b);
-}
-
-int64_t CountIntersectAuto(std::span<const NodeId> a,
-                           std::span<const NodeId> b) {
-  return CountWith(
-      [](auto x, auto y, auto&& e) { return IntersectAutoT(x, y, e); }, a,
-      b);
-}
-
-int64_t CountIntersectSimd(std::span<const NodeId> a,
-                           std::span<const NodeId> b) {
-  return CountWith(
-      [](auto x, auto y, auto&& e) { return simd::IntersectSimdT(x, y, e); },
-      a, b);
-}
 
 }  // namespace trilist

@@ -23,12 +23,13 @@
 ///    scalar-equivalent comparison count, so it is a drop-in for cost
 ///    experiments.
 ///
-/// The primary kernels are templates taking any callable `emit(NodeId)`,
-/// so call sites inline the emission (devirtualized hot path). The
-/// function-pointer overloads below are thin shims kept for C-style
-/// callers and ABI stability; the Count* wrappers are one-liners over the
-/// templates. All kernels return the number of elementary comparisons
-/// performed.
+/// The kernels are templates taking any callable `emit(NodeId)`, so call
+/// sites inline the emission (devirtualized hot path). All kernels return
+/// the number of elementary comparisons performed. IntersectMergeT is the
+/// one counting two-pointer merge in the tree: the SEI DirectMerge policy,
+/// the SIMD duplicate-input fallback, the partitioned executors and the
+/// baselines all call it. (The SIMD block kernels' scalar tail keeps its
+/// own loop; intersect_simd.cpp says why.)
 
 namespace trilist {
 
@@ -103,36 +104,5 @@ int64_t IntersectAutoT(std::span<const NodeId> a, std::span<const NodeId> b,
   }
   return IntersectMergeT(a, b, static_cast<Emit&&>(emit));
 }
-
-/// C-style shims over the templated kernels (emit may be null to discard
-/// matches). Kept so existing function-pointer callers keep compiling;
-/// new code should use the templates directly.
-int64_t IntersectMerge(std::span<const NodeId> a, std::span<const NodeId> b,
-                       void (*emit)(NodeId, void*), void* ctx);
-int64_t IntersectGallop(std::span<const NodeId> a,
-                        std::span<const NodeId> b,
-                        void (*emit)(NodeId, void*), void* ctx);
-int64_t IntersectAuto(std::span<const NodeId> a, std::span<const NodeId> b,
-                      void (*emit)(NodeId, void*), void* ctx);
-
-/// SIMD block-merge intersection (runtime-dispatched to the widest ISA
-/// the CPU offers; scalar on other architectures or under
-/// TRILIST_FORCE_SCALAR=1). Requires no preprocessing; safe on any
-/// sorted input — inputs with duplicates fall back to the scalar merge so
-/// multiplicity semantics match IntersectMerge exactly. Emits ascending,
-/// identical to IntersectMerge, and returns the scalar-equivalent
-/// comparison count.
-int64_t IntersectSimd(std::span<const NodeId> a, std::span<const NodeId> b,
-                      void (*emit)(NodeId, void*), void* ctx);
-
-/// Convenience wrappers that count matches instead of emitting them.
-int64_t CountIntersectMerge(std::span<const NodeId> a,
-                            std::span<const NodeId> b);
-int64_t CountIntersectGallop(std::span<const NodeId> a,
-                             std::span<const NodeId> b);
-int64_t CountIntersectAuto(std::span<const NodeId> a,
-                           std::span<const NodeId> b);
-int64_t CountIntersectSimd(std::span<const NodeId> a,
-                           std::span<const NodeId> b);
 
 }  // namespace trilist

@@ -4,37 +4,17 @@
 #include <cstdint>
 #include <span>
 
+#include "src/algo/intersect.h"
 #include "src/algo/simd/intersect_engine.h"
 #include "src/graph/graph.h"
 
 /// \file sei_common.h
-/// Shared primitives of the scanning edge iterators (E1..E6): the sorted
-/// range restrictions and the two intersection policies every SEI kernel
-/// is templated on.
+/// Shared primitives of the scanning edge iterators (E1..E6) and the
+/// partitioned executors (src/xm): the sorted range restrictions and the
+/// two intersection policies every SEI kernel is templated on.
 
 namespace trilist {
 namespace sei {
-
-/// Two-pointer intersection of sorted ranges; emits each common element
-/// and counts actual loop steps in *comparisons.
-template <typename Emit>
-void MergeIntersect(std::span<const NodeId> a, std::span<const NodeId> b,
-                    int64_t* comparisons, Emit&& emit) {
-  size_t i = 0;
-  size_t j = 0;
-  while (i < a.size() && j < b.size()) {
-    ++*comparisons;
-    if (a[i] < b[j]) {
-      ++i;
-    } else if (a[i] > b[j]) {
-      ++j;
-    } else {
-      emit(a[i]);
-      ++i;
-      ++j;
-    }
-  }
-}
 
 /// Elements of `list` strictly below `bound` (a sorted prefix).
 inline std::span<const NodeId> PrefixBelow(std::span<const NodeId> list,
@@ -50,6 +30,15 @@ inline std::span<const NodeId> SuffixAbove(std::span<const NodeId> list,
   return list.subspan(static_cast<size_t>(it - list.begin()));
 }
 
+/// Elements of `list` in [lo, hi) (a sorted middle range).
+inline std::span<const NodeId> RangeWithin(std::span<const NodeId> list,
+                                           NodeId lo, NodeId hi) {
+  const auto first = std::lower_bound(list.begin(), list.end(), lo);
+  const auto last = std::lower_bound(first, list.end(), hi);
+  return list.subspan(static_cast<size_t>(first - list.begin()),
+                      static_cast<size_t>(last - first));
+}
+
 /// Default intersection policy: the scalar merge, with the hub and window
 /// arguments compiled away — the zero-overhead path every caller without
 /// an engine gets.
@@ -58,7 +47,7 @@ struct DirectMerge {
   void operator()(std::span<const NodeId> a, simd::SpanOwner,
                   std::span<const NodeId> b, simd::SpanOwner, NodeId,
                   NodeId, int64_t* comparisons, Emit&& emit) const {
-    MergeIntersect(a, b, comparisons, emit);
+    *comparisons += IntersectMergeT(a, b, emit);
   }
 };
 

@@ -5,6 +5,7 @@
 #include <span>
 #include <vector>
 
+#include "src/algo/intersect.h"
 #include "src/graph/graph.h"
 #include "src/util/cpu_features.h"
 
@@ -74,36 +75,9 @@ inline bool HasAdjacentDuplicates(std::span<const NodeId> s) {
   return false;
 }
 
-namespace internal {
-
-/// The reference loop, kept here so the duplicate-input fallback needs no
-/// dependency on the higher-level intersect.h kernels.
-template <typename Emit>
-int64_t ScalarMergeEmit(std::span<const NodeId> a, std::span<const NodeId> b,
-                        Emit&& emit) {
-  int64_t comparisons = 0;
-  size_t i = 0;
-  size_t j = 0;
-  while (i < a.size() && j < b.size()) {
-    ++comparisons;
-    if (a[i] < b[j]) {
-      ++i;
-    } else if (a[i] > b[j]) {
-      ++j;
-    } else {
-      emit(a[i]);
-      ++i;
-      ++j;
-    }
-  }
-  return comparisons;
-}
-
-}  // namespace internal
-
 /// Safe templated front end over the block kernels: verifies strictness
-/// (falling back to the scalar loop on duplicate-bearing inputs so the
-/// semantics match IntersectMerge on *any* sorted input), buffers matches
+/// (falling back to IntersectMergeT on duplicate-bearing inputs, so the
+/// semantics match the scalar merge on *any* sorted input), buffers matches
 /// on the stack for typical adjacency sizes, and returns the
 /// scalar-equivalent comparison count.
 template <typename Emit>
@@ -111,7 +85,7 @@ int64_t IntersectSimdT(std::span<const NodeId> a, std::span<const NodeId> b,
                        Emit&& emit) {
   if (a.empty() || b.empty()) return 0;
   if (HasAdjacentDuplicates(a) || HasAdjacentDuplicates(b)) {
-    return internal::ScalarMergeEmit(a, b, emit);
+    return IntersectMergeT(a, b, emit);
   }
   constexpr size_t kStackCap = 256;
   NodeId stack_buf[kStackCap];

@@ -1,7 +1,6 @@
 #include "src/ooc/paged_count.h"
 
 #include <algorithm>
-#include <span>
 
 #include "src/algo/triangle_sink.h"
 #include "src/graph/binfmt.h"
@@ -12,68 +11,64 @@ namespace {
 
 constexpr int64_t kBytesPerId = static_cast<int64_t>(sizeof(NodeId));
 
-std::span<const NodeId> PrefixBelow(std::span<const NodeId> list,
-                                    NodeId bound) {
-  const auto it = std::lower_bound(list.begin(), list.end(), bound);
-  return list.first(static_cast<size_t>(it - list.begin()));
-}
-
-std::span<const NodeId> RangeWithin(std::span<const NodeId> list, NodeId lo,
-                                    NodeId hi) {
-  const auto first = std::lower_bound(list.begin(), list.end(), lo);
-  const auto last = std::lower_bound(first, list.end(), hi);
-  return list.subspan(static_cast<size_t>(first - list.begin()),
-                      static_cast<size_t>(last - first));
-}
-
-template <typename Emit>
-void MergeIntersect(std::span<const NodeId> a, std::span<const NodeId> b,
-                    int64_t* comparisons, Emit&& emit) {
-  size_t i = 0;
-  size_t j = 0;
-  while (i < a.size() && j < b.size()) {
-    ++*comparisons;
-    if (a[i] < b[j]) {
-      ++i;
-    } else if (a[i] > b[j]) {
-      ++j;
-    } else {
-      emit(a[i]);
-      ++i;
-      ++j;
-    }
-  }
-}
-
-int64_t OutListBytes(const OrientedGraph& g, NodeId lo, NodeId hi) {
-  int64_t bytes = 0;
-  for (NodeId v = lo; v < hi; ++v) {
-    bytes += g.OutDegree(v) * kBytesPerId;
-  }
-  return bytes;
-}
-
-/// Evicts page-cache residency of a neighbor-array slice, excluding the
-/// overlap with a protected (resident-partition) slice of the same
-/// array. All pointers live inside the mapped file.
-class Evictor {
+/// The pass observer that makes a partitioned run paged: it protects the
+/// resident partition's out-lists for the whole pass, drops the streamed
+/// rows behind the cursor every `window_bytes` of traffic, and at the end
+/// of a pass releases the rest of the window and the old partition (the
+/// next pass restarts from label 0). All pointers live inside the mapped
+/// file.
+class Evictor final : public PassObserver {
  public:
-  Evictor(const MmapFile* file, int64_t* evictions)
-      : file_(file),
+  Evictor(const OrientedGraph& g, const MmapFile* file, int64_t window_bytes,
+          int64_t* evictions)
+      : g_(g),
+        file_(file),
         base_(reinterpret_cast<const char*>(file->bytes().data())),
+        window_bytes_(window_bytes),
         evictions_(evictions) {}
 
-  /// Protects [keep_begin, keep_end): Evict calls never drop it.
-  void Protect(const NodeId* keep_begin, const NodeId* keep_end) {
-    keep_begin_ = reinterpret_cast<const char*>(keep_begin);
-    keep_end_ = reinterpret_cast<const char*>(keep_end);
+  void BeginPass(NodeId lo, NodeId hi) override {
+    keep_begin_ = OutRow(lo);
+    keep_end_ = OutRow(hi);
+    out_mark_ = OutRow(0);
+    in_mark_ = InRow(0);
+    pending_ = 0;
   }
 
-  void Evict(const NodeId* begin, const NodeId* end) {
-    const char* lo = reinterpret_cast<const char*>(begin);
-    const char* hi = reinterpret_cast<const char*>(end);
+  void AfterRow(NodeId v) override {
+    pending_ += (g_.OutDegree(v) + g_.InDegree(v)) * kBytesPerId;
+    if (pending_ < window_bytes_) return;
+    // Drop the rows before v; v goes with the next drop or at EndPass.
+    Evict(out_mark_, OutRow(v));
+    Evict(in_mark_, InRow(v));
+    out_mark_ = OutRow(v);
+    in_mark_ = InRow(v);
+    pending_ = 0;
+  }
+
+  void EndPass() override {
+    const auto n = static_cast<NodeId>(g_.num_nodes());
+    Evict(out_mark_, OutRow(n));
+    Evict(in_mark_, InRow(n));
+    const char* keep_begin = keep_begin_;
+    const char* keep_end = keep_end_;
+    keep_begin_ = keep_end_ = nullptr;
+    Evict(keep_begin, keep_end);
+  }
+
+ private:
+  const char* OutRow(NodeId v) const {
+    return reinterpret_cast<const char*>(g_.RawOutNeighbors().data() +
+                                         g_.RawOutOffsets()[v]);
+  }
+  const char* InRow(NodeId v) const {
+    return reinterpret_cast<const char*>(g_.RawInNeighbors().data() +
+                                         g_.RawInOffsets()[v]);
+  }
+
+  /// Evicts [lo, hi) except its overlap with the protected partition.
+  void Evict(const char* lo, const char* hi) {
     if (keep_begin_ < keep_end_ && lo < keep_end_ && keep_begin_ < hi) {
-      // Split around the protected range.
       EvictBytes(lo, std::min(hi, keep_begin_));
       EvictBytes(std::max(lo, keep_end_), hi);
       return;
@@ -81,7 +76,6 @@ class Evictor {
     EvictBytes(lo, hi);
   }
 
- private:
   void EvictBytes(const char* lo, const char* hi) {
     if (lo >= hi) return;
     file_->Evict(static_cast<size_t>(lo - base_),
@@ -89,109 +83,17 @@ class Evictor {
     ++*evictions_;
   }
 
+  const OrientedGraph& g_;
   const MmapFile* file_;
   const char* base_;
+  int64_t window_bytes_;
+  int64_t* evictions_;
   const char* keep_begin_ = nullptr;
   const char* keep_end_ = nullptr;
-  int64_t* evictions_;
+  const char* out_mark_ = nullptr;  // streamed but not yet dropped
+  const char* in_mark_ = nullptr;
+  int64_t pending_ = 0;  // bytes streamed since the last drop
 };
-
-/// One E1- or E2-style partitioned run with eviction chasing the stream
-/// cursor. The loop body mirrors src/xm/partitioned.cpp statement for
-/// statement, so OpCounts and the IoStats ledger come out identical to
-/// the simulated executors — what changes is that streamed pages are
-/// dropped once the cursor has moved `window_bytes` past them.
-OocCountResult RunPaged(const OrientedGraph& g, const MmapFile* file,
-                        const Partitioning& parts, int64_t window_bytes,
-                        bool use_e2, TriangleSink* sink) {
-  OocCountResult result;
-  result.mmap_backed = file->is_mapped();
-  const size_t n = g.num_nodes();
-  const std::span<const NodeId> all_out = g.RawOutNeighbors();
-  const std::span<const NodeId> all_in = g.RawInNeighbors();
-
-  for (size_t p = 0; p < parts.num_partitions(); ++p) {
-    const NodeId lo = parts.lower(p);
-    const NodeId hi = parts.upper(p);
-    ++result.io.passes;
-    result.io.bytes_loaded += OutListBytes(g, lo, hi);
-    ++result.partitions;
-
-    Evictor evictor(file, &result.evictions);
-    // The resident partition: out-lists of [lo, hi) stay mapped for the
-    // whole pass (E1 probes them as wedge apexes / E2 as local lists).
-    const NodeId* keep_begin = all_out.data() + g.RawOutOffsets()[lo];
-    const NodeId* keep_end = all_out.data() + g.RawOutOffsets()[hi];
-    evictor.Protect(keep_begin, keep_end);
-
-    // Stream cursor bookkeeping: rows [evict_mark, cursor) have been
-    // streamed but not yet dropped.
-    size_t out_evict_mark = 0;  // row start index into all_out
-    size_t in_evict_mark = 0;   // row start index into all_in
-    int64_t pending = 0;        // bytes streamed since the last drop
-
-    for (size_t yi = 0; yi < n; ++yi) {
-      const auto y = static_cast<NodeId>(yi);
-      const auto streamed = g.OutNeighbors(y);
-      result.io.bytes_streamed +=
-          static_cast<int64_t>(streamed.size()) * kBytesPerId;
-      if (!use_e2) {
-        for (const NodeId z : RangeWithin(g.InNeighbors(y), lo, hi)) {
-          const auto local = PrefixBelow(g.OutNeighbors(z), y);
-          result.ops.local_scans += static_cast<int64_t>(local.size());
-          result.ops.remote_scans +=
-              static_cast<int64_t>(streamed.size());
-          MergeIntersect(local, streamed,
-                         &result.ops.merge_comparisons, [&](NodeId x) {
-                           ++result.ops.triangles;
-                           sink->Consume(x, y, z);
-                         });
-        }
-      } else {
-        for (const NodeId w : RangeWithin(streamed, lo, hi)) {
-          const auto local = g.OutNeighbors(w);  // resident
-          const auto remote = PrefixBelow(streamed, w);
-          result.ops.local_scans += static_cast<int64_t>(local.size());
-          result.ops.remote_scans += static_cast<int64_t>(remote.size());
-          MergeIntersect(local, remote, &result.ops.merge_comparisons,
-                         [&](NodeId x) {
-                           ++result.ops.triangles;
-                           // In E2 the streamed node y is the top of the
-                           // triangle; w (the resident middle) sits
-                           // between.
-                           sink->Consume(x, w, y);
-                         });
-        }
-      }
-      pending +=
-          static_cast<int64_t>(streamed.size() + g.InNeighbors(y).size()) *
-          kBytesPerId;
-      if (pending >= window_bytes) {
-        // Drop everything strictly behind the cursor; row y itself may
-        // still be partially needed by the merge above, so stop at its
-        // start.
-        const size_t out_row = g.RawOutOffsets()[y];
-        const size_t in_row = g.RawInOffsets()[y];
-        evictor.Evict(all_out.data() + out_evict_mark,
-                      all_out.data() + out_row);
-        evictor.Evict(all_in.data() + in_evict_mark,
-                      all_in.data() + in_row);
-        out_evict_mark = out_row;
-        in_evict_mark = in_row;
-        pending = 0;
-      }
-    }
-    // End of pass: release the rest of the streamed window (the next
-    // pass restarts from label 0) and the old resident partition.
-    evictor.Evict(all_out.data() + out_evict_mark,
-                  all_out.data() + all_out.size());
-    evictor.Evict(all_in.data() + in_evict_mark,
-                  all_in.data() + all_in.size());
-    evictor.Protect(nullptr, nullptr);
-    evictor.Evict(keep_begin, keep_end);
-  }
-  return result;
-}
 
 }  // namespace
 
@@ -217,9 +119,14 @@ Result<OocCountResult> OocCountTlg(const std::string& path,
   const Partitioning parts =
       Partitioning::ForMemoryBudget(*og, budget / 2);
   const int64_t window = std::max<int64_t>(budget / 8, 1ll << 20);
+  OocCountResult result;
+  result.mmap_backed = file.backing()->is_mapped();
+  Evictor evictor(*og, file.backing(), window, &result.evictions);
   CountingSink sink;
-  OocCountResult result =
-      RunPaged(*og, file.backing(), parts, window, options.use_e2, &sink);
+  result.ops =
+      options.use_e2
+          ? RunPartitionedE2(*og, parts, &sink, &result.io, &evictor)
+          : RunPartitionedE1(*og, parts, &sink, &result.io, &evictor);
   return result;
 }
 

@@ -9,21 +9,21 @@
 #include "src/xm/partitioned.h"        // IoStats
 
 /// \file paged_count.h
-/// T1 triangle counting over a `.tlg` file that never fully enters
+/// Triangle counting over a `.tlg` file that never fully enters
 /// memory: the container is opened in paged mode (demand-paged mmap, no
 /// readahead — see TlgLoadOptions::paged), the label space is split into
-/// partitions that fit the budget, and the partitioned E1/E2 executors'
-/// access pattern is replayed with MADV_DONTNEED eviction chasing the
-/// stream cursor, so pages behind it are handed back to the kernel
-/// instead of accumulating in RSS.
+/// partitions that fit the budget, and the src/xm partitioned E1/E2
+/// executor runs over the mapped sections with an eviction observer
+/// attached: MADV_DONTNEED chases the stream cursor, so pages behind it
+/// are handed back to the kernel instead of accumulating in RSS.
 ///
 /// This is the priced realization of the src/xm cost model: the IoStats
-/// ledger those simulated executors report (bytes loaded per partition,
-/// bytes streamed per pass) here corresponds to actual page traffic —
-/// the resident partition's out-lists stay mapped for the whole pass
-/// while every streamed list is touched once and then evicted. Triangle
-/// counts and CPU OpCounts are identical to the in-memory RunE1/RunE2 by
-/// construction (the loop is the same; only page residency differs).
+/// ledger that executor reports (bytes loaded per partition, bytes
+/// streamed per pass) here corresponds to actual page traffic — the
+/// resident partition's out-lists stay mapped for the whole pass while
+/// every streamed list is touched once and then evicted. Triangle counts
+/// and CPU OpCounts are identical to the in-memory RunE1/RunE2: the loop
+/// is the xm executor's; only page residency differs.
 
 namespace trilist::ooc {
 
@@ -42,10 +42,9 @@ struct OocCountOptions {
 
 /// What a paged counting run did.
 struct OocCountResult {
-  OpCounts ops;            ///< identical to the in-memory executor's
-  IoStats io;              ///< the realized I/O ledger
-  int64_t partitions = 0;  ///< passes over the streamed lists
-  int64_t evictions = 0;   ///< MADV_DONTNEED calls issued
+  OpCounts ops;           ///< identical to the in-memory executor's
+  IoStats io;             ///< the realized I/O ledger (one pass/partition)
+  int64_t evictions = 0;  ///< MADV_DONTNEED calls issued
   bool mmap_backed = false;  ///< eviction only works on a real mapping
 };
 

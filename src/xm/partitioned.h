@@ -68,13 +68,29 @@ class Partitioning {
   std::vector<NodeId> bounds_;  // size num_partitions + 1
 };
 
+/// Watches a partitioned run pass by pass: BeginPass(lo, hi) when
+/// partition [lo, hi) becomes resident, AfterRow(v) once the streamed row
+/// v is done with (rows arrive in label order), EndPass() after the last
+/// row. The paged counter (src/ooc/paged_count.h) attaches its evictor
+/// here; the in-memory executors pass none.
+class PassObserver {
+ public:
+  virtual ~PassObserver() = default;
+  virtual void BeginPass(NodeId lo, NodeId hi) = 0;
+  virtual void AfterRow(NodeId v) = 0;
+  virtual void EndPass() = 0;
+};
+
 /// Partitioned E1: identical output and CPU counters to RunE1, plus the
-/// I/O ledger in *io.
+/// I/O ledger in *io (may be null). `observer` (may be null) sees every
+/// pass.
 OpCounts RunPartitionedE1(const OrientedGraph& g, const Partitioning& parts,
-                          TriangleSink* sink, IoStats* io);
+                          TriangleSink* sink, IoStats* io,
+                          PassObserver* observer = nullptr);
 
 /// Partitioned E2: identical output and CPU counters to RunE2.
 OpCounts RunPartitionedE2(const OrientedGraph& g, const Partitioning& parts,
-                          TriangleSink* sink, IoStats* io);
+                          TriangleSink* sink, IoStats* io,
+                          PassObserver* observer = nullptr);
 
 }  // namespace trilist

@@ -21,6 +21,13 @@ expect_usage_error(run --n 50 --alpha 1.7z)
 expect_usage_error(run --n -5)
 expect_usage_error(run --n " -5")
 
+# Integers inside compound values parse the same way. Edge pairs and the
+# port are read before any connection is made, so no server is needed.
+expect_usage_error(mutate --add 1:x --connect 127.0.0.1:1)
+expect_usage_error(mutate --del 1:4294967296 --connect 127.0.0.1:1)
+expect_usage_error(query --connect 127.0.0.1:99999 --graph g)
+expect_usage_error(query --connect 127.0.0.1:x --graph g)
+
 # A well-formed value still runs.
 execute_process(
   COMMAND "${CLI}" run --n 50 --threads 2

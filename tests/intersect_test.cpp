@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <set>
+#include <span>
 #include <vector>
 
 #include "src/algo/simd/intersect_simd.h"
@@ -24,41 +25,74 @@ int64_t ReferenceIntersectionSize(const std::vector<NodeId>& a,
   return count;
 }
 
+// Each kernel template behind one generic lambda, so the helpers below
+// can run any of them with a test-local emit.
+constexpr auto kMerge = [](auto a, auto b, auto&& emit) {
+  return IntersectMergeT(a, b, emit);
+};
+constexpr auto kGallop = [](auto a, auto b, auto&& emit) {
+  return IntersectGallopT(a, b, emit);
+};
+constexpr auto kAuto = [](auto a, auto b, auto&& emit) {
+  return IntersectAutoT(a, b, emit);
+};
+constexpr auto kSimd = [](auto a, auto b, auto&& emit) {
+  return simd::IntersectSimdT(a, b, emit);
+};
+
+/// Matches found by `kernel`, counted by the emit.
+template <typename Kernel>
+int64_t Matches(Kernel kernel, std::span<const NodeId> a,
+                std::span<const NodeId> b) {
+  int64_t matches = 0;
+  kernel(a, b, [&matches](NodeId) { ++matches; });
+  return matches;
+}
+
+/// Comparisons `kernel` performs, discarding its matches.
+template <typename Kernel>
+int64_t Comparisons(Kernel kernel, std::span<const NodeId> a,
+                    std::span<const NodeId> b) {
+  return kernel(a, b, [](NodeId) {});
+}
+
+/// Elements `kernel` emits, in emission order.
+template <typename Kernel>
+std::vector<NodeId> Emitted(Kernel kernel, std::span<const NodeId> a,
+                            std::span<const NodeId> b) {
+  std::vector<NodeId> out;
+  kernel(a, b, [&out](NodeId v) { out.push_back(v); });
+  return out;
+}
+
 TEST(IntersectTest, SmallHandCases) {
   const std::vector<NodeId> a = {1, 3, 5, 7, 9};
   const std::vector<NodeId> b = {2, 3, 4, 7, 10};
-  EXPECT_EQ(CountIntersectMerge(a, b), 2);
-  EXPECT_EQ(CountIntersectGallop(a, b), 2);
-  EXPECT_EQ(CountIntersectAuto(a, b), 2);
+  EXPECT_EQ(Matches(kMerge, a, b), 2);
+  EXPECT_EQ(Matches(kGallop, a, b), 2);
+  EXPECT_EQ(Matches(kAuto, a, b), 2);
 }
 
 TEST(IntersectTest, EmptyAndDisjoint) {
   const std::vector<NodeId> a = {1, 2, 3};
   const std::vector<NodeId> empty;
-  EXPECT_EQ(CountIntersectMerge(a, empty), 0);
-  EXPECT_EQ(CountIntersectGallop(empty, a), 0);
+  EXPECT_EQ(Matches(kMerge, a, empty), 0);
+  EXPECT_EQ(Matches(kGallop, empty, a), 0);
   const std::vector<NodeId> b = {10, 20};
-  EXPECT_EQ(CountIntersectAuto(a, b), 0);
+  EXPECT_EQ(Matches(kAuto, a, b), 0);
 }
 
 TEST(IntersectTest, IdenticalLists) {
   const std::vector<NodeId> a = {2, 4, 6, 8};
-  EXPECT_EQ(CountIntersectMerge(a, a), 4);
-  EXPECT_EQ(CountIntersectGallop(a, a), 4);
+  EXPECT_EQ(Matches(kMerge, a, a), 4);
+  EXPECT_EQ(Matches(kGallop, a, a), 4);
 }
 
 TEST(IntersectTest, EmitsTheActualElements) {
   const std::vector<NodeId> a = {1, 4, 6, 9};
   const std::vector<NodeId> b = {4, 9, 12};
-  std::vector<NodeId> out;
-  auto emit = [](NodeId v, void* ctx) {
-    static_cast<std::vector<NodeId>*>(ctx)->push_back(v);
-  };
-  IntersectMerge(a, b, emit, &out);
-  EXPECT_EQ(out, (std::vector<NodeId>{4, 9}));
-  out.clear();
-  IntersectGallop(a, b, emit, &out);
-  EXPECT_EQ(out, (std::vector<NodeId>{4, 9}));
+  EXPECT_EQ(Emitted(kMerge, a, b), (std::vector<NodeId>{4, 9}));
+  EXPECT_EQ(Emitted(kGallop, a, b), (std::vector<NodeId>{4, 9}));
 }
 
 TEST(IntersectTest, RandomizedAgainstReference) {
@@ -77,9 +111,9 @@ TEST(IntersectTest, RandomizedAgainstReference) {
     const std::vector<NodeId> a(sa.begin(), sa.end());
     const std::vector<NodeId> b(sb.begin(), sb.end());
     const int64_t expected = ReferenceIntersectionSize(a, b);
-    ASSERT_EQ(CountIntersectMerge(a, b), expected) << trial;
-    ASSERT_EQ(CountIntersectGallop(a, b), expected) << trial;
-    ASSERT_EQ(CountIntersectAuto(a, b), expected) << trial;
+    ASSERT_EQ(Matches(kMerge, a, b), expected) << trial;
+    ASSERT_EQ(Matches(kGallop, a, b), expected) << trial;
+    ASSERT_EQ(Matches(kAuto, a, b), expected) << trial;
   }
 }
 
@@ -94,8 +128,8 @@ TEST(IntersectTest, GallopCheaperOnExtremeAsymmetry) {
   }
   const std::vector<NodeId> small = {big[10], big[5000], big[70000],
                                      big[99999]};
-  int64_t merge_cmp = IntersectMerge(small, big, nullptr, nullptr);
-  int64_t gallop_cmp = IntersectGallop(small, big, nullptr, nullptr);
+  int64_t merge_cmp = Comparisons(kMerge, small, big);
+  int64_t gallop_cmp = Comparisons(kGallop, small, big);
   EXPECT_GT(merge_cmp, 50000);
   EXPECT_LT(gallop_cmp, 300);
 }
@@ -104,12 +138,10 @@ TEST(IntersectTest, AutoEmptySpansPerformNoComparisons) {
   const std::vector<NodeId> a = {1, 2, 3};
   const std::vector<NodeId> empty;
   std::vector<NodeId> out;
-  auto emit = [](NodeId v, void* ctx) {
-    static_cast<std::vector<NodeId>*>(ctx)->push_back(v);
-  };
-  EXPECT_EQ(IntersectAuto(empty, empty, emit, &out), 0);
-  EXPECT_EQ(IntersectAuto(a, empty, emit, &out), 0);
-  EXPECT_EQ(IntersectAuto(empty, a, emit, &out), 0);
+  auto emit = [&out](NodeId v) { out.push_back(v); };
+  EXPECT_EQ(IntersectAutoT(empty, empty, emit), 0);
+  EXPECT_EQ(IntersectAutoT(a, empty, emit), 0);
+  EXPECT_EQ(IntersectAutoT(empty, a, emit), 0);
   EXPECT_TRUE(out.empty());
 }
 
@@ -126,22 +158,22 @@ std::vector<NodeId> Iota(size_t len) {
 TEST(IntersectTest, AutoDispatchesMergeAtExactly32xRatio) {
   const std::vector<NodeId> small = {1000000, 1000001};
   const std::vector<NodeId> big = Iota(32 * small.size());  // exactly 32x
-  const int64_t merge_cmp = IntersectMerge(small, big, nullptr, nullptr);
-  const int64_t gallop_cmp = IntersectGallop(small, big, nullptr, nullptr);
+  const int64_t merge_cmp = Comparisons(kMerge, small, big);
+  const int64_t gallop_cmp = Comparisons(kGallop, small, big);
   ASSERT_NE(merge_cmp, gallop_cmp) << "test needs distinguishable kernels";
-  EXPECT_EQ(IntersectAuto(small, big, nullptr, nullptr), merge_cmp);
+  EXPECT_EQ(Comparisons(kAuto, small, big), merge_cmp);
   // Argument order must not matter.
-  EXPECT_EQ(IntersectAuto(big, small, nullptr, nullptr), merge_cmp);
+  EXPECT_EQ(Comparisons(kAuto, big, small), merge_cmp);
 }
 
 TEST(IntersectTest, AutoDispatchesGallopJustAbove32xRatio) {
   const std::vector<NodeId> small = {1000000, 1000001};
   const std::vector<NodeId> big = Iota(32 * small.size() + 1);  // 32.5x
-  const int64_t merge_cmp = IntersectMerge(small, big, nullptr, nullptr);
-  const int64_t gallop_cmp = IntersectGallop(small, big, nullptr, nullptr);
+  const int64_t merge_cmp = Comparisons(kMerge, small, big);
+  const int64_t gallop_cmp = Comparisons(kGallop, small, big);
   ASSERT_NE(merge_cmp, gallop_cmp) << "test needs distinguishable kernels";
-  EXPECT_EQ(IntersectAuto(small, big, nullptr, nullptr), gallop_cmp);
-  EXPECT_EQ(IntersectAuto(big, small, nullptr, nullptr), gallop_cmp);
+  EXPECT_EQ(Comparisons(kAuto, small, big), gallop_cmp);
+  EXPECT_EQ(Comparisons(kAuto, big, small), gallop_cmp);
 }
 
 TEST(IntersectTest, GallopMonotoneCursorHandlesDuplicateFreeRuns) {
@@ -152,68 +184,11 @@ TEST(IntersectTest, GallopMonotoneCursorHandlesDuplicateFreeRuns) {
     a[i] = i;
     b[i] = i;
   }
-  EXPECT_EQ(CountIntersectGallop(a, b), 100);
-}
-
-// ---------------------------------------------------------------------------
-// Devirtualized templates vs the C-style shims (the shims must be pure
-// forwarders: same comparisons, same emissions).
-
-TEST(IntersectTest, ShimsMatchTemplates) {
-  Rng rng(17);
-  for (int trial = 0; trial < 50; ++trial) {
-    std::set<NodeId> sa;
-    std::set<NodeId> sb;
-    while (sa.size() < rng.NextBounded(120)) {
-      sa.insert(static_cast<NodeId>(rng.NextBounded(400)));
-    }
-    while (sb.size() < rng.NextBounded(120)) {
-      sb.insert(static_cast<NodeId>(rng.NextBounded(400)));
-    }
-    const std::vector<NodeId> a(sa.begin(), sa.end());
-    const std::vector<NodeId> b(sb.begin(), sb.end());
-    std::vector<NodeId> shim_out;
-    auto emit = [](NodeId v, void* ctx) {
-      static_cast<std::vector<NodeId>*>(ctx)->push_back(v);
-    };
-    std::vector<NodeId> tmpl_out;
-    auto collect = [&tmpl_out](NodeId v) { tmpl_out.push_back(v); };
-
-    ASSERT_EQ(IntersectMerge(a, b, emit, &shim_out),
-              IntersectMergeT(a, b, collect));
-    ASSERT_EQ(shim_out, tmpl_out);
-    shim_out.clear();
-    tmpl_out.clear();
-    ASSERT_EQ(IntersectGallop(a, b, emit, &shim_out),
-              IntersectGallopT(a, b, collect));
-    ASSERT_EQ(shim_out, tmpl_out);
-    shim_out.clear();
-    tmpl_out.clear();
-    ASSERT_EQ(IntersectAuto(a, b, emit, &shim_out),
-              IntersectAutoT(a, b, collect));
-    ASSERT_EQ(shim_out, tmpl_out);
-  }
+  EXPECT_EQ(Matches(kGallop, a, b), 100);
 }
 
 // ---------------------------------------------------------------------------
 // SIMD block merge.
-
-std::vector<NodeId> MergeEmitted(const std::vector<NodeId>& a,
-                                 const std::vector<NodeId>& b) {
-  std::vector<NodeId> out;
-  IntersectMergeT(a, b, [&out](NodeId v) { out.push_back(v); });
-  return out;
-}
-
-std::vector<NodeId> SimdEmitted(const std::vector<NodeId>& a,
-                                const std::vector<NodeId>& b) {
-  std::vector<NodeId> out;
-  auto emit = [](NodeId v, void* ctx) {
-    static_cast<std::vector<NodeId>*>(ctx)->push_back(v);
-  };
-  IntersectSimd(a, b, emit, &out);
-  return out;
-}
 
 /// Strictly increasing list of `len` values with the given stride pattern.
 std::vector<NodeId> Strided(size_t len, NodeId start, unsigned seed) {
@@ -255,9 +230,9 @@ TEST(SimdIntersectTest, AdversarialSpans) {
       &disjoint_hi, &word_edges,  &small2, &big64};
   for (const auto* pa : cases) {
     for (const auto* pb : cases) {
-      const auto expected = MergeEmitted(*pa, *pb);
-      EXPECT_EQ(SimdEmitted(*pa, *pb), expected);
-      EXPECT_EQ(CountIntersectSimd(*pa, *pb),
+      const auto expected = Emitted(kMerge, *pa, *pb);
+      EXPECT_EQ(Emitted(kSimd, *pa, *pb), expected);
+      EXPECT_EQ(Matches(kSimd, *pa, *pb),
                 static_cast<int64_t>(expected.size()));
     }
   }
@@ -274,10 +249,9 @@ TEST(SimdIntersectTest, DuplicatesFallBackToScalarSemantics) {
   const int64_t merge_cmp =
       IntersectMergeT(a, b, [&merge_out](NodeId v) { merge_out.push_back(v); });
   std::vector<NodeId> simd_out;
-  auto emit = [](NodeId v, void* ctx) {
-    static_cast<std::vector<NodeId>*>(ctx)->push_back(v);
-  };
-  EXPECT_EQ(IntersectSimd(a, b, emit, &simd_out), merge_cmp);
+  EXPECT_EQ(simd::IntersectSimdT(
+                a, b, [&simd_out](NodeId v) { simd_out.push_back(v); }),
+            merge_cmp);
   EXPECT_EQ(simd_out, merge_out);
 }
 
@@ -296,19 +270,14 @@ TEST(SimdIntersectTest, RandomizedDifferentialAllKernels) {
     }
     const std::vector<NodeId> a(sa.begin(), sa.end());
     const std::vector<NodeId> b(sb.begin(), sb.end());
-    const auto expected = MergeEmitted(a, b);
+    const auto expected = Emitted(kMerge, a, b);
     const auto n = static_cast<int64_t>(expected.size());
-    ASSERT_EQ(SimdEmitted(a, b), expected) << trial;
-    ASSERT_EQ(CountIntersectSimd(a, b), n) << trial;
-    ASSERT_EQ(CountIntersectGallop(a, b), n) << trial;
-    ASSERT_EQ(CountIntersectAuto(a, b), n) << trial;
+    ASSERT_EQ(Emitted(kSimd, a, b), expected) << trial;
+    ASSERT_EQ(Matches(kSimd, a, b), n) << trial;
+    ASSERT_EQ(Matches(kGallop, a, b), n) << trial;
+    ASSERT_EQ(Matches(kAuto, a, b), n) << trial;
     // simd reports the scalar-equivalent comparison count.
-    std::vector<NodeId> out;
-    auto emit = [](NodeId v, void* ctx) {
-      static_cast<std::vector<NodeId>*>(ctx)->push_back(v);
-    };
-    const int64_t merge_cmp = IntersectMerge(a, b, nullptr, nullptr);
-    ASSERT_EQ(IntersectSimd(a, b, emit, &out), merge_cmp) << trial;
+    ASSERT_EQ(Comparisons(kSimd, a, b), Comparisons(kMerge, a, b)) << trial;
   }
 }
 
@@ -364,7 +333,7 @@ TEST(SimdIntersectTest, ForcedScalarLevelStillCorrect) {
   SetActiveSimdLevelForTest(SimdLevel::kScalar);
   const auto a = Strided(300, 0, 41);
   const auto b = Strided(300, 5, 43);
-  EXPECT_EQ(SimdEmitted(a, b), MergeEmitted(a, b));
+  EXPECT_EQ(Emitted(kSimd, a, b), Emitted(kMerge, a, b));
   EXPECT_EQ(ActiveSimdLevel(), SimdLevel::kScalar);
   // Restore runtime dispatch for other tests in this process.
   SetActiveSimdLevelForTest(DetectedSimdLevel());

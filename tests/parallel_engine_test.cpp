@@ -20,6 +20,7 @@
 #include "src/order/pipeline.h"
 #include "src/util/parallel_for.h"
 #include "src/util/rng.h"
+#include "tests/expect_same_ops.h"
 
 namespace trilist {
 namespace {
@@ -111,18 +112,6 @@ Graph MakeEquivalenceGraph(const std::string& kind) {
   if (kind == "clique") return MakeComplete(40);
   ADD_FAILURE() << "unknown graph kind " << kind;
   return Graph();
-}
-
-void ExpectSameOps(const OpCounts& a, const OpCounts& b,
-                   const std::string& label) {
-  EXPECT_EQ(a.candidate_checks, b.candidate_checks) << label;
-  EXPECT_EQ(a.local_scans, b.local_scans) << label;
-  EXPECT_EQ(a.remote_scans, b.remote_scans) << label;
-  EXPECT_EQ(a.merge_comparisons, b.merge_comparisons) << label;
-  EXPECT_EQ(a.hash_inserts, b.hash_inserts) << label;
-  EXPECT_EQ(a.lookups, b.lookups) << label;
-  EXPECT_EQ(a.binary_searches, b.binary_searches) << label;
-  EXPECT_EQ(a.triangles, b.triangles) << label;
 }
 
 TEST(ParallelEngineTest, MatchesSerialOnAllFamiliesMethodsAndWidths) {

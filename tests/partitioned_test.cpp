@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "src/algo/edge_iterator.h"
 #include "src/degree/graphicality.h"
 #include "src/degree/pareto.h"
@@ -11,6 +13,7 @@
 #include "src/graph/builder.h"
 #include "src/order/pipeline.h"
 #include "src/util/rng.h"
+#include "tests/expect_same_ops.h"
 
 namespace trilist {
 namespace {
@@ -70,9 +73,7 @@ TEST_P(PartitionedEquivalenceTest, E1MatchesInMemory) {
   IoStats io;
   const OpCounts xm = RunPartitionedE1(og, parts, &partitioned, &io);
   EXPECT_EQ(partitioned.Sorted(), reference.Sorted());
-  EXPECT_EQ(xm.local_scans, mem.local_scans);
-  EXPECT_EQ(xm.remote_scans, mem.remote_scans);
-  EXPECT_EQ(xm.triangles, mem.triangles);
+  ExpectSameOps(xm, mem, "k=" + std::to_string(k));
   // I/O ledger: one resident load of the whole graph across passes, one
   // full stream per pass.
   const auto graph_bytes =
@@ -93,9 +94,7 @@ TEST_P(PartitionedEquivalenceTest, E2MatchesInMemory) {
   IoStats io;
   const OpCounts xm = RunPartitionedE2(og, parts, &partitioned, &io);
   EXPECT_EQ(partitioned.Sorted(), reference.Sorted());
-  EXPECT_EQ(xm.local_scans, mem.local_scans);
-  EXPECT_EQ(xm.remote_scans, mem.remote_scans);
-  EXPECT_EQ(xm.triangles, mem.triangles);
+  ExpectSameOps(xm, mem, "k=" + std::to_string(k));
   EXPECT_EQ(io.bytes_loaded,
             static_cast<int64_t>(og.num_arcs() * sizeof(NodeId)));
 }

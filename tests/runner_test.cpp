@@ -9,6 +9,7 @@
 #include "src/graph/binfmt.h"
 #include "src/graph/io.h"
 #include "src/util/rng.h"
+#include "tests/expect_same_ops.h"
 
 namespace trilist {
 namespace {
@@ -22,18 +23,6 @@ GenerateSpec SmallPareto() {
   gen.n = 3000;
   gen.alpha = 1.7;
   return gen;
-}
-
-void ExpectSameOps(const OpCounts& a, const OpCounts& b,
-                   const char* context) {
-  EXPECT_EQ(a.candidate_checks, b.candidate_checks) << context;
-  EXPECT_EQ(a.local_scans, b.local_scans) << context;
-  EXPECT_EQ(a.remote_scans, b.remote_scans) << context;
-  EXPECT_EQ(a.merge_comparisons, b.merge_comparisons) << context;
-  EXPECT_EQ(a.hash_inserts, b.hash_inserts) << context;
-  EXPECT_EQ(a.lookups, b.lookups) << context;
-  EXPECT_EQ(a.binary_searches, b.binary_searches) << context;
-  EXPECT_EQ(a.triangles, b.triangles) << context;
 }
 
 TEST(ResolveThreadsTest, ZeroMeansAllHardwareThreads) {

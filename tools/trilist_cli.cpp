@@ -118,6 +118,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <map>
 #include <memory>
 #include <sstream>
@@ -157,6 +158,29 @@
 namespace {
 
 using namespace trilist;
+
+[[noreturn]] void BadNumber(const std::string& key, const std::string& value) {
+  std::fprintf(stderr, "--%s: '%s' is not a valid number\n", key.c_str(),
+               value.c_str());
+  std::exit(2);
+}
+
+/// Parses the value of flag `key` as a decimal integer in [0, max], in
+/// full: "abc", "12x", " 5", "-5" or a value above `max` is a usage error
+/// (exit 2), never a silent 0, a wrapped or a truncated number.
+uint64_t ParseUint(const std::string& key, const std::string& value,
+                   uint64_t max = std::numeric_limits<uint64_t>::max()) {
+  char* end = nullptr;
+  errno = 0;
+  const uint64_t u = std::strtoull(value.c_str(), &end, 10);
+  // strtoull skips blanks and wraps a '-', so the first char must be a
+  // digit.
+  if (!std::isdigit(static_cast<unsigned char>(value[0])) || *end != '\0' ||
+      errno == ERANGE || u > max) {
+    BadNumber(key, value);
+  }
+  return u;
+}
 
 /// Minimal --flag parser: `--key value` pairs plus bare boolean switches
 /// (`--degree-profile`). A flag followed by another `--flag` (or nothing)
@@ -199,27 +223,10 @@ class Flags {
   }
   uint64_t GetUint(const std::string& key, uint64_t def) const {
     const std::string v = Get(key);
-    if (v.empty()) return def;
-    char* end = nullptr;
-    errno = 0;
-    const uint64_t u = std::strtoull(v.c_str(), &end, 10);
-    // strtoull skips blanks and wraps a '-', so the first char must be a
-    // digit.
-    if (!std::isdigit(static_cast<unsigned char>(v[0])) || *end != '\0' ||
-        errno == ERANGE) {
-      BadNumber(key, v);
-    }
-    return u;
+    return v.empty() ? def : ParseUint(key, v);
   }
 
  private:
-  [[noreturn]] static void BadNumber(const std::string& key,
-                                     const std::string& value) {
-    std::fprintf(stderr, "--%s: '%s' is not a valid number\n", key.c_str(),
-                 value.c_str());
-    std::exit(2);
-  }
-
   std::map<std::string, std::string> values_;
 };
 
@@ -398,14 +405,13 @@ int CmdCount(const Flags& flags) {
       std::printf(
           "%s + %s on %s (paged, budget %llu bytes):\n"
           "  triangles %llu\n  paper-metric ops %lld\n  wall time %.3fs\n"
-          "  io: %d partitions, %lld passes, %lld loaded + %lld streamed "
+          "  io: %lld passes, %lld loaded + %lld streamed "
           "bytes, %lld evictions%s\n",
           MethodName(method), PermutationKindName(order), in.c_str(),
           static_cast<unsigned long long>(mem_budget),
           static_cast<unsigned long long>(counted->ops.triangles),
           static_cast<long long>(counted->ops.PaperCost()),
-          timer.ElapsedSeconds(), static_cast<int>(counted->partitions),
-          static_cast<long long>(counted->io.passes),
+          timer.ElapsedSeconds(), static_cast<long long>(counted->io.passes),
           static_cast<long long>(counted->io.bytes_loaded),
           static_cast<long long>(counted->io.bytes_streamed),
           static_cast<long long>(counted->evictions),
@@ -971,8 +977,9 @@ Result<serve::ServeClient> ConnectFromFlags(const Flags& flags) {
         "query: --connect HOST:PORT or --unix PATH required");
   }
   const std::string host = connect.substr(0, colon);
-  const auto port = static_cast<uint16_t>(
-      std::strtoul(connect.c_str() + colon + 1, nullptr, 10));
+  const auto port = static_cast<uint16_t>(ParseUint(
+      "connect", connect.substr(colon + 1),
+      std::numeric_limits<uint16_t>::max()));
   return serve::ServeClient::ConnectTcp(host, port);
 }
 
@@ -1066,11 +1073,11 @@ bool ParseEdgePairs(const std::string& text, bool insert,
                    pair.c_str());
       return false;
     }
+    const char* flag = insert ? "add" : "del";
+    constexpr uint64_t kMaxId = std::numeric_limits<NodeId>::max();
     dyn::EdgeMutation m;
-    m.u = static_cast<NodeId>(
-        std::strtoul(pair.c_str(), nullptr, 10));
-    m.v = static_cast<NodeId>(
-        std::strtoul(pair.c_str() + colon + 1, nullptr, 10));
+    m.u = static_cast<NodeId>(ParseUint(flag, pair.substr(0, colon), kMaxId));
+    m.v = static_cast<NodeId>(ParseUint(flag, pair.substr(colon + 1), kMaxId));
     m.insert = insert;
     if (m.u == m.v) {
       std::fprintf(stderr, "mutate: self-loop '%s' rejected\n",

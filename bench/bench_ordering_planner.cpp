@@ -15,6 +15,10 @@
 /// cost of the best candidate in hindsight (the oracle). The bench fails
 /// if regret exceeds 10% on any graph — the acceptance gate that keeps
 /// the cost model honest enough to schedule with.
+///
+/// It also times planning itself: the wall of that full-auto ResolvePlan
+/// on a cold CostModel (nothing memoized, so every candidate ordering's
+/// pricing pass runs), as min-of-N plus the spread (max - min).
 
 #include <algorithm>
 #include <cstdio>
@@ -65,7 +69,12 @@ struct GraphResult {
   std::string oracle_order;
   std::string oracle_method;
   double regret = 0;  ///< plan_measured / oracle_measured - 1.
+  double plan_wall_s = 0;         ///< min cold ResolvePlan wall.
+  double plan_wall_spread_s = 0;  ///< max - min of those walls.
 };
+
+/// Cold ResolvePlan repetitions per graph.
+constexpr int kPlanReps = 7;
 
 /// Measured weighted cost of (order, method) from the shootout table.
 double MeasuredCostOf(const std::vector<Sample>& samples,
@@ -130,6 +139,16 @@ GraphResult RunShootout(const std::string& name, const Graph& graph,
   req.auto_order = true;
   req.auto_intersect = true;
   const PlanResult plan = ResolvePlan(model, req);
+  double plan_wall_max = 0;
+  for (int r = 0; r < kPlanReps; ++r) {
+    const cost::CostModel cold(model.ascending_degrees());
+    Timer timer;
+    ResolvePlan(cold, req);
+    const double wall = timer.ElapsedSeconds();
+    if (r == 0 || wall < result.plan_wall_s) result.plan_wall_s = wall;
+    plan_wall_max = std::max(plan_wall_max, wall);
+  }
+  result.plan_wall_spread_s = plan_wall_max - result.plan_wall_s;
   result.plan_order = plan.chosen.orient.Key();
   result.plan_method = MethodName(plan.chosen.methods[0]);
   result.plan_intersect = IntersectBackendName(plan.chosen.intersect);
@@ -157,11 +176,13 @@ GraphResult RunShootout(const std::string& name, const Graph& graph,
       result.plan_measured_cost / result.oracle_measured_cost - 1.0;
   std::printf(
       "planner: %s via %s / %s (predicted %.3g) | oracle: %s via %s "
-      "(measured %.3g) | regret %.2f%%\n\n",
+      "(measured %.3g) | regret %.2f%% | cold plan %.2f ms "
+      "(+%.2f ms spread over %d)\n\n",
       result.plan_method.c_str(), result.plan_order.c_str(),
       result.plan_intersect.c_str(), result.plan_predicted_cost,
       result.oracle_method.c_str(), result.oracle_order.c_str(),
-      result.oracle_measured_cost, result.regret * 100.0);
+      result.oracle_measured_cost, result.regret * 100.0,
+      result.plan_wall_s * 1e3, result.plan_wall_spread_s * 1e3, kPlanReps);
   return result;
 }
 
@@ -240,6 +261,9 @@ int main() {
     w.Field("oracle_method", r.oracle_method);
     w.FieldDouble("oracle_measured_cost", r.oracle_measured_cost, 1);
     w.FieldDouble("regret", r.regret, 4);
+    w.FieldDouble("plan_wall_s", r.plan_wall_s);
+    w.FieldDouble("plan_wall_spread_s", r.plan_wall_spread_s);
+    w.Field("plan_reps", kPlanReps);
     w.EndObject();
     w.EndObject();
   }

@@ -27,6 +27,9 @@ enum class Method {
   kL1, kL2, kL3, kL4, kL5, kL6,
 };
 
+/// Number of Method values; static_cast<size_t>(m) indexes arrays of it.
+inline constexpr size_t kNumMethods = static_cast<size_t>(Method::kL6) + 1;
+
 /// Families of methods (different elementary-operation speeds, Table 3).
 enum class Family {
   kVertexIterator,

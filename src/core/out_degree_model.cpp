@@ -44,20 +44,68 @@ std::vector<double> ExpectedSmallerNeighborFractions(
   return q;
 }
 
+namespace {
+
+/// The six distinct h shapes of Table 4: the primitive classes T1, T2, T3
+/// at their CostClass index, then the SEI local + remote sums.
+constexpr size_t kNumShapes = 6;
+
+size_t ShapeOf(Method m) {
+  const auto local = static_cast<size_t>(LocalCostClass(m));
+  if (MethodFamily(m) != Family::kScanningEdgeIterator) return local;
+  const auto remote = static_cast<size_t>(RemoteCostClass(m));
+  TRILIST_DCHECK(local != remote);
+  return 2 + local + remote;  // T1+T2 -> 3, T1+T3 -> 4, T2+T3 -> 5
+}
+
+}  // namespace
+
+MethodCosts SequenceConditionalCosts(
+    const std::vector<int64_t>& ascending_degrees, const Permutation& theta,
+    const WeightFn& w) {
+  MethodCosts costs{};
+  const std::vector<int64_t> by_label =
+      DegreesByLabel(ascending_degrees, theta);
+  const size_t n = by_label.size();
+  if (n == 0) return costs;
+  double total_weight = 0.0;
+  for (int64_t d : by_label) {
+    total_weight += w(static_cast<double>(d));
+  }
+  // q is ExpectedSmallerNeighborFractions' expression, evaluated inline;
+  // each shape's h is EvalH's local + remote sum, so every entry rounds
+  // exactly like a per-method loop.
+  std::array<double, kNumShapes> sums{};
+  double prefix = 0.0;  // sum_{j<i} w(d_j) in label order
+  for (size_t i = 0; i < n; ++i) {
+    const auto d = static_cast<double>(by_label[i]);
+    const double denom = total_weight - w(d);
+    const double expected = denom > 0.0 ? d * prefix / denom : 0.0;
+    const double q = d > 0.0 ? expected / d : 0.0;
+    prefix += w(d);
+    const double g = GFunction(d);
+    const double t1 = EvalClassH(CostClass::kT1, q);
+    const double t2 = EvalClassH(CostClass::kT2, q);
+    const double t3 = EvalClassH(CostClass::kT3, q);
+    sums[0] += g * t1;
+    sums[1] += g * t2;
+    sums[2] += g * t3;
+    sums[3] += g * (t1 + t2);
+    sums[4] += g * (t1 + t3);
+    sums[5] += g * (t2 + t3);
+  }
+  for (const Method m : AllMethods()) {
+    costs[static_cast<size_t>(m)] =
+        sums[ShapeOf(m)] / static_cast<double>(n);
+  }
+  return costs;
+}
+
 double SequenceConditionalCost(
     const std::vector<int64_t>& ascending_degrees, const Permutation& theta,
     Method m, const WeightFn& w) {
-  const std::vector<int64_t> by_label =
-      DegreesByLabel(ascending_degrees, theta);
-  const std::vector<double> q =
-      ExpectedSmallerNeighborFractions(by_label, w);
-  const size_t n = by_label.size();
-  if (n == 0) return 0.0;
-  double cost = 0.0;
-  for (size_t i = 0; i < n; ++i) {
-    cost += GFunction(static_cast<double>(by_label[i])) * EvalH(m, q[i]);
-  }
-  return cost / static_cast<double>(n);
+  return SequenceConditionalCosts(ascending_degrees, theta,
+                                  w)[static_cast<size_t>(m)];
 }
 
 }  // namespace trilist

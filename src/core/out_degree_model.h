@@ -1,5 +1,6 @@
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -46,8 +47,24 @@ std::vector<double> ExpectedSmallerNeighborFractions(
     const std::vector<int64_t>& degrees_by_label,
     const WeightFn& w = WeightFn::Identity());
 
-/// Proposition 4: the sequence-conditional per-node cost
-/// (1/n) sum_i g(d_i(theta)) h_M(q_i(theta)).
+/// Per-node cost of every method under one theta, indexed by
+/// static_cast<size_t>(Method).
+using MethodCosts = std::array<double, kNumMethods>;
+
+/// Proposition 4 for all 18 methods at once: entry m is the
+/// sequence-conditional per-node cost (1/n) sum_i g(d_i(theta))
+/// h_m(q_i(theta)). The methods share one q-vector and differ only in h
+/// (Table 4), so this is one O(n) pass: one DegreesByLabel scatter, q_i
+/// computed inline exactly as ExpectedSmallerNeighborFractions does, and
+/// six running sums, one per distinct h shape (T1, T2, T3 and the SEI
+/// sums T1+T2, T1+T3, T2+T3), each in label order and divided by n at
+/// the end. Every entry is bit-identical to pricing its method alone with
+/// that reference loop.
+MethodCosts SequenceConditionalCosts(
+    const std::vector<int64_t>& ascending_degrees, const Permutation& theta,
+    const WeightFn& w = WeightFn::Identity());
+
+/// One entry of SequenceConditionalCosts: the per-node cost of `m`.
 double SequenceConditionalCost(
     const std::vector<int64_t>& ascending_degrees, const Permutation& theta,
     Method m, const WeightFn& w = WeightFn::Identity());

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <utility>
 
-#include "src/core/out_degree_model.h"
+#include "src/obs/trace.h"
 #include "src/order/registry.h"
 #include "src/util/cpu_features.h"
 
@@ -33,24 +33,29 @@ CostModel::CostModel(std::vector<int64_t> ascending_degrees,
 double CostModel::PredictedOps(const OrientSpec& orient, Method m) const {
   const size_t n = ascending_degrees_.size();
   if (n == 0) return 0;
-  const OrderingProvider& provider =
-      OrderingRegistry::Instance().Of(orient.kind);
-  const uint64_t seed_key = provider.seeded() ? orient.seed : 0;
-  const auto key = std::make_tuple(static_cast<int>(orient.kind), seed_key,
-                                   static_cast<int>(m));
+  const OrderingRegistry& registry = OrderingRegistry::Instance();
+  const OrderingProvider& pricer =
+      registry.Of(registry.Of(orient.kind).pricing_kind());
+  const uint64_t seed_key = pricer.seeded() ? orient.seed : 0;
+  const auto key = std::make_pair(static_cast<int>(pricer.kind()), seed_key);
+  const auto ops = [&](const MethodCosts& costs) {
+    return costs[static_cast<size_t>(m)] * static_cast<double>(n);
+  };
   {
     std::lock_guard<std::mutex> lock(mu_);
     const auto it = memo_.find(key);
-    if (it != memo_.end()) return it->second;
+    if (it != memo_.end()) return ops(it->second);
   }
-  const Permutation theta =
-      provider.PricingPermutation(ascending_degrees_, orient.seed);
-  const double ops =
-      SequenceConditionalCost(ascending_degrees_, theta, m) *
-      static_cast<double>(n);
+  const MethodCosts costs = [&] {
+    obs::TraceSpan span("cost.price");
+    span.Arg("order", pricer.key());
+    return SequenceConditionalCosts(
+        ascending_degrees_,
+        pricer.PricingPermutation(ascending_degrees_, orient.seed));
+  }();
   std::lock_guard<std::mutex> lock(mu_);
-  if (memo_.size() < kMaxMemo) memo_.emplace(key, ops);
-  return ops;
+  if (memo_.size() < kMaxMemo) memo_.emplace(key, costs);
+  return ops(costs);
 }
 
 double CostModel::FamilyWeight(Method m) const {

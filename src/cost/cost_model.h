@@ -3,11 +3,12 @@
 #include <cstdint>
 #include <map>
 #include <mutex>
-#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "src/algo/cost.h"
 #include "src/algo/exec_policy.h"
+#include "src/core/out_degree_model.h"
 #include "src/order/pipeline.h"
 
 /// \file cost_model.h
@@ -52,13 +53,16 @@ struct CostModelParams {
 };
 
 /// \brief Prices (method, ordering, backend) triples for one degree
-/// sequence. Thread-safe; memoizes per (ordering key, method) up to a cap
-/// (the uniform seed is part of the key, so a seed-sweeping client could
-/// otherwise grow the memo without bound).
+/// sequence. Thread-safe; memoizes per ordering: the first query of an
+/// ordering runs one O(n) pass (SequenceConditionalCosts) that prices all
+/// 18 methods, and every later query of any method under it is a lookup.
+/// The key is the provider's pricing kind plus the seed when seeded, so
+/// degen and aot share theta_D's entry, and the memo is capped (a
+/// seed-sweeping client could otherwise grow it without bound).
 class CostModel {
  public:
-  /// Memoized (ordering, method) entries kept; past the cap, estimates
-  /// are recomputed instead of cached.
+  /// Memoized orderings kept; past the cap, passes are recomputed
+  /// instead of cached.
   static constexpr size_t kMaxMemo = 256;
 
   /// \param ascending_degrees the realized degree sequence sorted
@@ -74,7 +78,8 @@ class CostModel {
   /// Section-3 predicted total operations (paper metric) of running `m`
   /// under `orient`: n * SequenceConditionalCost with the ordering's
   /// pricing permutation. Graph-dependent orderings (degen, aot) price
-  /// via their registry-documented theta_D proxy.
+  /// via their registry-documented theta_D proxy. The first call per
+  /// ordering prices every method in one pass (traced as "cost.price").
   double PredictedOps(const OrientSpec& orient, Method m) const;
 
   /// PredictedOps scaled to comparable CPU cost: weighted per family,
@@ -106,8 +111,8 @@ class CostModel {
   CostModelParams params_;
 
   mutable std::mutex mu_;
-  /// Key: (kind, seed-if-seeded, method).
-  mutable std::map<std::tuple<int, uint64_t, int>, double> memo_;
+  /// Key: (pricing kind, seed-if-seeded); value: per-node cost per method.
+  mutable std::map<std::pair<int, uint64_t>, MethodCosts> memo_;
 };
 
 /// Section-3 price of maintaining the triangle count across one edge

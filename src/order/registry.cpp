@@ -14,7 +14,7 @@ namespace trilist {
 Permutation OrderingProvider::PricingPermutation(
     const std::vector<int64_t>& ascending_degrees, uint64_t seed) const {
   Rng rng(seed);
-  return MakePermutation(kind(), ascending_degrees.size(), &rng);
+  return MakePermutation(pricing_kind(), ascending_degrees.size(), &rng);
 }
 
 std::vector<NodeId> OrderingProvider::Labels(const Graph& g,
@@ -94,13 +94,11 @@ struct DegenerateProvider final : OrderingProvider {
            "max out-degree (priced via the theta_D proxy)";
   }
   bool graph_dependent() const override { return true; }
-  Permutation PricingPermutation(
-      const std::vector<int64_t>& ascending_degrees,
-      uint64_t /*seed*/) const override {
+  PermutationKind pricing_kind() const override {
     // No positional model exists; theta_D is the standard conservative
     // proxy (the smallest-last order is degree-descending-like at the
     // top of the sequence, where the cost mass lives).
-    return DescendingPermutation(ascending_degrees.size());
+    return PermutationKind::kDescending;
   }
   std::vector<NodeId> Labels(const Graph& g,
                              uint64_t /*seed*/) const override {
@@ -116,12 +114,10 @@ struct AotProvider final : OrderingProvider {
            "fringe by smallest-last (priced via the theta_D proxy)";
   }
   bool graph_dependent() const override { return true; }
-  Permutation PricingPermutation(
-      const std::vector<int64_t>& ascending_degrees,
-      uint64_t /*seed*/) const override {
+  PermutationKind pricing_kind() const override {
     // The hub block is exactly theta_D and carries the g(d)h(q) mass;
     // the fringe's smallest-last refinement has no positional model.
-    return DescendingPermutation(ascending_degrees.size());
+    return PermutationKind::kDescending;
   }
   std::vector<NodeId> Labels(const Graph& g,
                              uint64_t /*seed*/) const override {

@@ -58,9 +58,15 @@ class OrderingProvider {
   /// permutation is a pure function of the (ascending) degree sequence.
   bool positional() const { return !graph_dependent(); }
 
+  /// The kind whose positional permutation the cost model prices:
+  /// kind() itself when positional(); theta_D for the graph-dependent
+  /// orders (documented per provider). Orders sharing a pricing kind
+  /// share one pricing pass in the cost model.
+  virtual PermutationKind pricing_kind() const { return kind(); }
+
   /// The positional permutation the cost model prices, of size
-  /// ascending_degrees.size(). Exact when positional(); the theta_D
-  /// proxy otherwise (documented per provider).
+  /// ascending_degrees.size(): the pricing_kind()'s named permutation
+  /// unless overridden (the tailored split).
   virtual Permutation PricingPermutation(
       const std::vector<int64_t>& ascending_degrees, uint64_t seed) const;
 

@@ -21,34 +21,23 @@ Permutation SplitPermutation(size_t n, size_t s) {
   return Permutation(std::move(map));
 }
 
-namespace {
-
-/// min over the fundamental methods of the Proposition-4 per-node cost.
-double BestFundamentalCost(const std::vector<int64_t>& ascending_degrees,
-                           const Permutation& theta) {
-  double best = std::numeric_limits<double>::infinity();
-  for (Method m : FundamentalMethods()) {
-    best = std::min(
-        best, SequenceConditionalCost(ascending_degrees, theta, m));
-  }
-  return best;
-}
-
-}  // namespace
-
 size_t TailoredSplitIndex(const std::vector<int64_t>& ascending_degrees) {
   const size_t n = ascending_degrees.size();
   if (n == 0) return 0;
   // Geometric grid {0, 1, 2, 4, ...} plus the theta_D endpoint s = n:
-  // O(log n) candidates, each an O(n) model evaluation per method.
+  // O(log n) candidates, each one O(n) pass that prices every method.
   std::vector<size_t> grid{0};
   for (size_t s = 1; s < n; s *= 2) grid.push_back(s);
   grid.push_back(n);
   size_t best_s = 0;
   double best_cost = std::numeric_limits<double>::infinity();
   for (const size_t s : grid) {
-    const double cost =
-        BestFundamentalCost(ascending_degrees, SplitPermutation(n, s));
+    const MethodCosts costs =
+        SequenceConditionalCosts(ascending_degrees, SplitPermutation(n, s));
+    double cost = std::numeric_limits<double>::infinity();
+    for (const Method m : FundamentalMethods()) {
+      cost = std::min(cost, costs[static_cast<size_t>(m)]);
+    }
     if (cost < best_cost) {
       best_cost = cost;
       best_s = s;

@@ -28,6 +28,28 @@ expect_usage_error(mutate --del 1:4294967296 --connect 127.0.0.1:1)
 expect_usage_error(query --connect 127.0.0.1:99999 --graph g)
 expect_usage_error(query --connect 127.0.0.1:x --graph g)
 
+# A key the subcommand does not declare is a usage error too, never
+# silently ignored: `--thread 2` must not run on one thread. Query and
+# mutate reject the key before connecting, so no server is needed.
+function(expect_unknown_flag key)
+  execute_process(
+    COMMAND "${CLI}" ${ARGN}
+    RESULT_VARIABLE result OUTPUT_VARIABLE out ERROR_VARIABLE err)
+  if(NOT result EQUAL 2)
+    message(FATAL_ERROR
+            "'${ARGN}' exited ${result}, expected 2: ${out} ${err}")
+  endif()
+  if(NOT err MATCHES "unknown flag --${key}")
+    message(FATAL_ERROR "'${ARGN}' did not name --${key}: ${err}")
+  endif()
+endfunction()
+
+expect_unknown_flag(thread run --n 50 --thread 2)
+expect_unknown_flag(method query --connect 127.0.0.1:1 --graph g
+                    --method E1)
+expect_unknown_flag(ops mutate --connect 127.0.0.1:1 --graph g
+                    --add 1:2 --ops x.log)
+
 # A well-formed value still runs.
 execute_process(
   COMMAND "${CLI}" run --n 50 --threads 2

@@ -7,9 +7,14 @@
 #include <vector>
 
 #include "src/algo/cost.h"
+#include "src/core/h_function.h"
 #include "src/core/out_degree_model.h"
+#include "src/degree/pareto.h"
+#include "src/degree/truncated.h"
 #include "src/order/named_orders.h"
+#include "src/order/registry.h"
 #include "src/order/split.h"
+#include "src/run/planner.h"
 #include "src/util/rng.h"
 
 namespace trilist {
@@ -47,6 +52,51 @@ TEST(CostModelTest, OpsMatchSequenceConditionalCost) {
                          SequenceConditionalCost(
                              degrees, TailoredSplitPermutation(degrees), m))
         << MethodName(m);
+  }
+}
+
+/// One method priced alone, the way Proposition 4 reads: labels, q, then
+/// g(d) h_m(q) summed in label order and divided by n.
+double ReferenceCost(const std::vector<int64_t>& degrees,
+                     const Permutation& theta, Method m) {
+  const std::vector<int64_t> by_label = DegreesByLabel(degrees, theta);
+  const std::vector<double> q = ExpectedSmallerNeighborFractions(by_label);
+  double cost = 0.0;
+  for (size_t i = 0; i < by_label.size(); ++i) {
+    cost += GFunction(static_cast<double>(by_label[i])) * EvalH(m, q[i]);
+  }
+  return cost / static_cast<double>(by_label.size());
+}
+
+TEST(CostModelTest, OnePassPricesEveryMethodBitExactly) {
+  const DiscretePareto base(1.5, 15.0);
+  const TruncatedDistribution fn(base, 400);
+  Rng rng(11);
+  std::vector<int64_t> degrees(2000);
+  for (auto& d : degrees) d = fn.Sample(&rng);
+  std::sort(degrees.begin(), degrees.end());
+  const auto n = static_cast<double>(degrees.size());
+
+  std::vector<OrientSpec> specs;
+  for (const PermutationKind kind : PlannerOrderCandidates()) {
+    specs.push_back({kind, 0});
+  }
+  specs.push_back({PermutationKind::kUniform, 7});
+  specs.push_back({PermutationKind::kDegenerate, 0});
+  specs.push_back({PermutationKind::kAot, 0});
+
+  const cost::CostModel model(degrees);
+  for (const OrientSpec& spec : specs) {
+    const Permutation theta =
+        OrderingRegistry::Instance().Of(spec.kind).PricingPermutation(
+            degrees, spec.seed);
+    for (const Method m : AllMethods()) {
+      // EXPECT_EQ, not EXPECT_DOUBLE_EQ: the shared pass must round
+      // exactly like the per-method loop.
+      EXPECT_EQ(model.PredictedOps(spec, m),
+                n * ReferenceCost(degrees, theta, m))
+          << spec.Key() << " " << MethodName(m);
+    }
   }
 }
 

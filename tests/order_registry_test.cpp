@@ -11,6 +11,8 @@
 
 #include "src/algo/cost.h"
 #include "src/core/out_degree_model.h"
+#include "src/degree/pareto.h"
+#include "src/degree/truncated.h"
 #include "src/gen/erdos_renyi.h"
 #include "src/graph/binfmt.h"
 #include "src/graph/builder.h"
@@ -153,6 +155,43 @@ TEST(SplitOrderTest, TailoredSplitNeverLosesToPureDegreeOrders) {
   const double pure_d = best_cost(DescendingPermutation(degrees.size()));
   EXPECT_LE(split, pure_a);
   EXPECT_LE(split, pure_d);
+}
+
+TEST(SplitOrderTest, TailoredSplitIsTheGridArgmin) {
+  // Brute force over the same geometric grid {0, 1, 2, 4, ..., n}: price
+  // every fundamental method on its own and keep the first minimum.
+  const auto brute_force = [](const std::vector<int64_t>& degrees) {
+    const size_t n = degrees.size();
+    if (n == 0) return size_t{0};
+    std::vector<size_t> grid{0};
+    for (size_t s = 1; s < n; s *= 2) grid.push_back(s);
+    grid.push_back(n);
+    size_t best_s = 0;
+    double best = std::numeric_limits<double>::infinity();
+    for (const size_t s : grid) {
+      for (const Method m : FundamentalMethods()) {
+        const double cost =
+            SequenceConditionalCost(degrees, SplitPermutation(n, s), m);
+        if (cost < best) {
+          best = cost;
+          best_s = s;
+        }
+      }
+    }
+    return best_s;
+  };
+  Rng rng(5);
+  const DiscretePareto base(1.5, 15.0);
+  const TruncatedDistribution pareto(base, 300);
+  std::vector<int64_t> skewed(1500);
+  for (auto& d : skewed) d = pareto.Sample(&rng);
+  std::sort(skewed.begin(), skewed.end());
+  const std::vector<std::vector<int64_t>> sequences = {
+      {}, {3}, std::vector<int64_t>(100, 6), skewed};
+  for (const std::vector<int64_t>& degrees : sequences) {
+    EXPECT_EQ(TailoredSplitIndex(degrees), brute_force(degrees))
+        << "n=" << degrees.size();
+  }
 }
 
 TEST(OrientSpecTest, KeySeparatesExactlyTheDistinctSpecs) {

@@ -184,16 +184,23 @@ uint64_t ParseUint(const std::string& key, const std::string& value,
 
 /// Minimal --flag parser: `--key value` pairs plus bare boolean switches
 /// (`--degree-profile`). A flag followed by another `--flag` (or nothing)
-/// is a switch; Get() returns "" for missing keys.
+/// is a switch; Get() returns "" for missing keys. A key outside the
+/// subcommand's `accepted` set is a usage error (exit 2), never silently
+/// ignored: `run --thread 4` must not run on one thread.
 class Flags {
  public:
-  Flags(int argc, char** argv) {
+  Flags(int argc, char** argv, const std::vector<std::string>& accepted) {
     for (int i = 2; i < argc;) {
       if (std::strncmp(argv[i], "--", 2) != 0) {
         ++i;
         continue;
       }
       const char* key = argv[i] + 2;
+      if (std::find(accepted.begin(), accepted.end(), key) ==
+          accepted.end()) {
+        std::fprintf(stderr, "unknown flag --%s\n", key);
+        std::exit(2);
+      }
       if (i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0) {
         values_[key] = argv[i + 1];
         i += 2;
@@ -842,7 +849,7 @@ int CmdModel(const Flags& flags) {
   return 0;
 }
 
-int CmdOrders() {
+int CmdOrders(const Flags& /*flags*/) {
   std::printf("%-6s %-11s %-6s %s\n", "cli", "key", "flags", "description");
   for (const OrderingProvider* p : OrderingRegistry::Instance().all()) {
     std::string caps;
@@ -1246,7 +1253,7 @@ int CmdMutate(const Flags& flags) {
   return CmdMutateLocal(flags, std::move(ops));
 }
 
-int CmdVersion() {
+int CmdVersion(const Flags& /*flags*/) {
   const BuildInfo& info = GetBuildInfo();
   std::printf("%s\n", BuildInfoSummary());
   std::printf("  flags: %s\n", info.flags);
@@ -1322,23 +1329,52 @@ int Usage() {
   return 2;
 }
 
+/// A subcommand and the --flag keys it reads; Flags rejects any other.
+struct Subcommand {
+  const char* name;
+  int (*run)(const Flags&);
+  std::vector<std::string> flags;
+};
+
+const std::vector<Subcommand>& Subcommands() {
+  static const std::vector<Subcommand> kAll = {
+      {"generate", CmdGenerate, {"n", "alpha", "trunc", "seed", "out"}},
+      {"count", CmdCount,
+       {"in", "method", "order", "seed", "threads", "intersect",
+        "bitmap-min-degree", "mem-budget"}},
+      {"run", CmdRun,
+       {"in", "n", "alpha", "trunc", "gen", "methods", "method", "order",
+        "seed", "threads", "repeats", "intersect", "bitmap-min-degree",
+        "report", "trace", "metrics", "degree-profile", "mem-budget"}},
+      {"model", CmdModel, {"alpha", "n", "trunc", "method", "order", "eps"}},
+      {"orders", CmdOrders, {}},
+      {"advise", CmdAdvise, {"alpha", "speedup"}},
+      {"convert", CmdConvert,
+       {"in", "out", "orders", "seed", "threads", "mem-budget", "tmpdir",
+        "io-workers", "no-direct-io", "report"}},
+      {"info", CmdInfo, {"in"}},
+      {"serve", CmdServe,
+       {"tcp", "host", "unix", "graphs", "graph", "workers", "queue",
+        "catalog", "sjf", "max-threads", "send-timeout", "paged"}},
+      {"query", CmdQuery,
+       {"connect", "unix", "graph", "methods", "order", "seed", "threads",
+        "repeats", "report", "stats"}},
+      {"mutate", CmdMutate,
+       {"connect", "unix", "graph", "add", "del", "ops-file", "log", "batch",
+        "in", "verify", "out", "threads"}},
+      {"version", CmdVersion, {}},
+  };
+  return kAll;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   if (argc < 2) return Usage();
-  const std::string cmd = argv[1];
-  const Flags flags(argc, argv);
-  if (cmd == "generate") return CmdGenerate(flags);
-  if (cmd == "count") return CmdCount(flags);
-  if (cmd == "run") return CmdRun(flags);
-  if (cmd == "model") return CmdModel(flags);
-  if (cmd == "orders") return CmdOrders();
-  if (cmd == "advise") return CmdAdvise(flags);
-  if (cmd == "convert") return CmdConvert(flags);
-  if (cmd == "info") return CmdInfo(flags);
-  if (cmd == "serve") return CmdServe(flags);
-  if (cmd == "query") return CmdQuery(flags);
-  if (cmd == "mutate") return CmdMutate(flags);
-  if (cmd == "version" || cmd == "--version") return CmdVersion();
+  const std::string cmd =
+      std::strcmp(argv[1], "--version") == 0 ? "version" : argv[1];
+  for (const Subcommand& sub : Subcommands()) {
+    if (cmd == sub.name) return sub.run(Flags(argc, argv, sub.flags));
+  }
   return Usage();
 }

@@ -101,6 +101,77 @@ MethodCosts SequenceConditionalCosts(
   return costs;
 }
 
+void AppendRun(std::vector<DegreeRun>* runs, int64_t degree, size_t count) {
+  if (count == 0) return;
+  if (!runs->empty() && runs->back().degree == degree) {
+    runs->back().count += count;
+  } else {
+    runs->push_back({degree, count});
+  }
+}
+
+size_t RunsLength(const std::vector<DegreeRun>& runs) {
+  size_t n = 0;
+  for (const DegreeRun& run : runs) n += run.count;
+  return n;
+}
+
+std::vector<DegreeRun> CompressRuns(const std::vector<int64_t>& sequence) {
+  std::vector<DegreeRun> runs;
+  for (const int64_t d : sequence) AppendRun(&runs, d, 1);
+  return runs;
+}
+
+MethodCosts RunConditionalCosts(const std::vector<DegreeRun>& runs_by_label,
+                                const WeightFn& w) {
+  MethodCosts costs{};
+  double n = 0.0;
+  double total_weight = 0.0;
+  for (const DegreeRun& run : runs_by_label) {
+    const auto len = static_cast<double>(run.count);
+    n += len;
+    total_weight += len * w(static_cast<double>(run.degree));
+  }
+  if (n == 0.0) return costs;
+  std::array<double, kNumShapes> sums{};
+  double prefix = 0.0;  // weight of every label before the run
+  for (const DegreeRun& run : runs_by_label) {
+    const auto d = static_cast<double>(run.degree);
+    const auto len = static_cast<double>(run.count);
+    const double wd = w(d);
+    const double denom = total_weight - wd;
+    // Per-class sums of h(q_k) over the run's labels k = 0..len-1.
+    double t1 = 0.0;
+    double t2 = 0.0;
+    double t3 = 0.5 * len;  // q = 0: zero degree or no other weight
+    if (d > 0.0 && denom > 0.0) {
+      // q_k = (prefix + k wd) / denom and 1 - q_k = (denom - prefix -
+      // k wd) / denom, both taken about the run's midpoint so no sum
+      // cancels: mean q, mean 1 - q, and Σ (q_k - mean)^2 from Σk^2.
+      const double mid = 0.5 * wd * (len - 1.0);
+      const double mean = (prefix + mid) / denom;
+      const double mean_rest = (denom - prefix - mid) / denom;
+      const double slope = wd / denom;
+      const double spread = slope * slope * len * (len * len - 1.0) / 12.0;
+      t1 = 0.5 * (len * mean * mean + spread);    // Σ q^2 / 2
+      t2 = len * mean * mean_rest - spread;       // Σ q (1 - q)
+      t3 = 0.5 * (len * mean_rest * mean_rest + spread);  // Σ (1-q)^2 / 2
+    }
+    prefix += len * wd;
+    const double g = GFunction(d);
+    sums[0] += g * t1;
+    sums[1] += g * t2;
+    sums[2] += g * t3;
+    sums[3] += g * (t1 + t2);
+    sums[4] += g * (t1 + t3);
+    sums[5] += g * (t2 + t3);
+  }
+  for (const Method m : AllMethods()) {
+    costs[static_cast<size_t>(m)] = sums[ShapeOf(m)] / n;
+  }
+  return costs;
+}
+
 double SequenceConditionalCost(
     const std::vector<int64_t>& ascending_degrees, const Permutation& theta,
     Method m, const WeightFn& w) {

@@ -24,7 +24,9 @@ double DerivedSimdSpeedup() {
 
 CostModel::CostModel(std::vector<int64_t> ascending_degrees,
                      CostModelParams params)
-    : ascending_degrees_(std::move(ascending_degrees)), params_(params) {
+    : ascending_degrees_(std::move(ascending_degrees)),
+      ascending_runs_(CompressRuns(ascending_degrees_)),
+      params_(params) {
   if (params_.simd_speedup <= 0) {
     params_.simd_speedup = DerivedSimdSpeedup();
   }
@@ -49,9 +51,12 @@ double CostModel::PredictedOps(const OrientSpec& orient, Method m) const {
   const MethodCosts costs = [&] {
     obs::TraceSpan span("cost.price");
     span.Arg("order", pricer.key());
-    return SequenceConditionalCosts(
-        ascending_degrees_,
-        pricer.PricingPermutation(ascending_degrees_, orient.seed));
+    if (pricer.seeded()) {
+      return SequenceConditionalCosts(
+          ascending_degrees_,
+          pricer.PricingPermutation(ascending_degrees_, orient.seed));
+    }
+    return RunConditionalCosts(pricer.PricingRuns(ascending_runs_));
   }();
   std::lock_guard<std::mutex> lock(mu_);
   if (memo_.size() < kMaxMemo) memo_.emplace(key, costs);

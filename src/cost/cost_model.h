@@ -54,8 +54,12 @@ struct CostModelParams {
 
 /// \brief Prices (method, ordering, backend) triples for one degree
 /// sequence. Thread-safe; memoizes per ordering: the first query of an
-/// ordering runs one O(n) pass (SequenceConditionalCosts) that prices all
-/// 18 methods, and every later query of any method under it is a lookup.
+/// ordering prices all 18 methods at once, and every later query of any
+/// method under it is a lookup. Non-seeded orderings (theta_A/D/RR/CRR,
+/// split, and degen/aot through theta_D) are priced by degree runs in
+/// O(distinct degrees) (RunConditionalCosts of the provider's
+/// PricingRuns); seeded theta_U takes one O(n) pass
+/// (SequenceConditionalCosts).
 /// The key is the provider's pricing kind plus the seed when seeded, so
 /// degen and aot share theta_D's entry, and the memo is capped (a
 /// seed-sweeping client could otherwise grow it without bound).
@@ -76,10 +80,11 @@ class CostModel {
   const CostModelParams& params() const { return params_; }
 
   /// Section-3 predicted total operations (paper metric) of running `m`
-  /// under `orient`: n * SequenceConditionalCost with the ordering's
-  /// pricing permutation. Graph-dependent orderings (degen, aot) price
-  /// via their registry-documented theta_D proxy. The first call per
-  /// ordering prices every method in one pass (traced as "cost.price").
+  /// under `orient`: n times the sequence-conditional cost under the
+  /// ordering's pricing permutation. Graph-dependent orderings (degen,
+  /// aot) price via their registry-documented theta_D proxy. The first
+  /// call per ordering prices every method at once (traced as
+  /// "cost.price").
   double PredictedOps(const OrientSpec& orient, Method m) const;
 
   /// PredictedOps scaled to comparable CPU cost: weighted per family,
@@ -108,6 +113,7 @@ class CostModel {
 
  private:
   std::vector<int64_t> ascending_degrees_;
+  std::vector<DegreeRun> ascending_runs_;  // CompressRuns(A_n)
   CostModelParams params_;
 
   mutable std::mutex mu_;

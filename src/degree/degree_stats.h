@@ -18,10 +18,8 @@ namespace trilist {
 /// Largest entry of a degree vector; 0 for an empty vector.
 int64_t MaxDegree(const std::vector<int64_t>& degrees);
 
-/// The vector sorted ascending — the paper's A_n when fed node degrees.
-std::vector<int64_t> SortedAscending(std::vector<int64_t> degrees);
-
-/// Ascending degree sequence of a realized graph (Degrees() + sort).
+/// Ascending degree sequence of a realized graph — the paper's A_n —
+/// built by a linear counting sort.
 std::vector<int64_t> AscendingDegrees(const Graph& g);
 
 }  // namespace trilist

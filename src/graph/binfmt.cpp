@@ -7,6 +7,7 @@
 #include <limits>
 
 #include "src/graph/binfmt_layout.h"
+#include "src/obs/trace.h"
 #include "src/util/crc32.h"
 
 namespace trilist {
@@ -294,6 +295,10 @@ Result<TlgFile> TlgFile::Open(const std::string& path,
     }
   }
   if (verify_crc) {
+    // The sweep reads every payload byte; traced on its own so a run's
+    // load stage splits into CRC and validation.
+    obs::TraceSpan span("tlg.verify");
+    span.Arg("file_bytes", static_cast<int64_t>(bytes.size()));
     for (const SectionEntry& e : table) {
       const uint32_t got =
           Crc32Update(0, bytes.data() + e.offset, e.length);

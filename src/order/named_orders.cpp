@@ -1,5 +1,6 @@
 #include "src/order/named_orders.h"
 
+#include <algorithm>
 #include <numeric>
 
 #include "src/util/status.h"
@@ -81,6 +82,59 @@ Permutation UniformPermutation(size_t n, Rng* rng) {
     std::swap(map[i - 1], map[j]);
   }
   return Permutation(std::move(map));
+}
+
+std::vector<DegreeRun> SegmentRuns(
+    const std::vector<DegreeRun>& ascending_runs,
+    std::initializer_list<RankSegment> segments) {
+  const size_t groups = ascending_runs.size();
+  std::vector<size_t> starts(groups + 1, 0);  // first rank of each run
+  for (size_t g = 0; g < groups; ++g) {
+    starts[g + 1] = starts[g] + ascending_runs[g].count;
+  }
+  std::vector<DegreeRun> runs;
+  for (const RankSegment& seg : segments) {
+    // Ranks in [0, x) that the segment visits.
+    const auto below = [&seg](size_t x) {
+      return seg.parity < 0
+                 ? x
+                 : (x + 1 - static_cast<size_t>(seg.parity)) / 2;
+    };
+    for (size_t i = 0; i < groups; ++i) {
+      const size_t g = seg.descending ? groups - 1 - i : i;
+      const size_t lo = std::max(starts[g], seg.lo);
+      const size_t hi = std::min(starts[g + 1], seg.hi);
+      if (lo < hi) {
+        AppendRun(&runs, ascending_runs[g].degree, below(hi) - below(lo));
+      }
+    }
+  }
+  return runs;
+}
+
+std::vector<DegreeRun> NamedOrderRuns(
+    PermutationKind kind, const std::vector<DegreeRun>& ascending_runs) {
+  const size_t n = RunsLength(ascending_runs);
+  const int n_parity = static_cast<int>(n % 2);
+  switch (kind) {
+    case PermutationKind::kAscending:
+      return SegmentRuns(ascending_runs, {{0, n, false, -1}});
+    case PermutationKind::kDescending:
+      return SegmentRuns(ascending_runs, {{0, n, true, -1}});
+    case PermutationKind::kRoundRobin:
+      return SegmentRuns(ascending_runs,
+                         {{0, n, true, 1}, {0, n, false, 0}});
+    case PermutationKind::kComplementaryRoundRobin:
+      return SegmentRuns(ascending_runs, {{0, n, false, n_parity},
+                                          {0, n, true, 1 - n_parity}});
+    case PermutationKind::kUniform:
+    case PermutationKind::kDegenerate:
+    case PermutationKind::kAot:
+    case PermutationKind::kSplit:
+      break;  // seeded or not a fixed shape; see registry.h.
+  }
+  TRILIST_DCHECK(false);
+  return {};
 }
 
 }  // namespace trilist

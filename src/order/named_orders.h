@@ -1,7 +1,10 @@
 #pragma once
 
+#include <initializer_list>
 #include <string>
+#include <vector>
 
+#include "src/core/out_degree_model.h"
 #include "src/order/permutation.h"
 #include "src/util/rng.h"
 
@@ -56,5 +59,35 @@ Permutation RoundRobinPermutation(size_t n);
 Permutation ComplementaryRoundRobinPermutation(size_t n);
 /// theta_U: Fisher-Yates shuffle of the identity.
 Permutation UniformPermutation(size_t n, Rng* rng);
+
+/// One monotone walk over the ascending ranks: ranks [lo, hi), upward or
+/// downward, either all of them or only those of one parity.
+struct RankSegment {
+  size_t lo = 0;
+  size_t hi = 0;
+  bool descending = false;
+  int parity = -1;  ///< 0 or 1: only ranks of that parity; -1: all.
+};
+
+/// The label-order degree runs of a positional permutation that hands out
+/// labels 0, 1, ... by walking `segments` in turn, over the ascending
+/// sequence given as CompressRuns(A_n). O(segments x ascending runs);
+/// adjacent equal degrees merge (AppendRun), so two walks that produce
+/// the same label sequence produce the same runs.
+std::vector<DegreeRun> SegmentRuns(
+    const std::vector<DegreeRun>& ascending_runs,
+    std::initializer_list<RankSegment> segments);
+
+/// The label-order degree runs of theta_A, theta_D, theta_RR or
+/// theta_CRR — each at most two monotone segments of the ascending ranks:
+///   - theta_A: all ranks ascending; theta_D: all ranks descending.
+///   - theta_RR (Eq. 32): the odd ranks descending, then the even ranks
+///     ascending (a V: large degrees at both ends).
+///   - theta_CRR: the ranks of n's parity ascending, then the others
+///     descending (the mirror Lambda: large degrees in the middle).
+/// Equal to CompressRuns(DegreesByLabel(A_n, MakePermutation(kind, n))).
+/// Other kinds are rejected (no fixed segment shape).
+std::vector<DegreeRun> NamedOrderRuns(
+    PermutationKind kind, const std::vector<DegreeRun>& ascending_runs);
 
 }  // namespace trilist

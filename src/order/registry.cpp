@@ -17,6 +17,11 @@ Permutation OrderingProvider::PricingPermutation(
   return MakePermutation(pricing_kind(), ascending_degrees.size(), &rng);
 }
 
+std::vector<DegreeRun> OrderingProvider::PricingRuns(
+    const std::vector<DegreeRun>& ascending_runs) const {
+  return NamedOrderRuns(pricing_kind(), ascending_runs);
+}
+
 std::vector<NodeId> OrderingProvider::Labels(const Graph& g,
                                              uint64_t seed) const {
   // Positional default: theta over ascending-degree ranks, the exact
@@ -136,6 +141,10 @@ struct SplitProvider final : OrderingProvider {
       const std::vector<int64_t>& ascending_degrees,
       uint64_t /*seed*/) const override {
     return TailoredSplitPermutation(ascending_degrees);
+  }
+  std::vector<DegreeRun> PricingRuns(
+      const std::vector<DegreeRun>& ascending_runs) const override {
+    return SplitRuns(ascending_runs, TailoredSplitIndex(ascending_runs));
   }
   std::vector<NodeId> Labels(const Graph& g,
                              uint64_t /*seed*/) const override {

@@ -26,7 +26,9 @@
 ///     model prices. Exact when positional() is true (the permutation is
 ///     a pure function of the degree sequence); a theta_D proxy for the
 ///     graph-dependent orders (degenerate, AOT), whose true label map
-///     needs adjacency structure the model never sees.
+///     needs adjacency structure the model never sees. PricingRuns is
+///     the same theta as label-order degree runs, for every non-seeded
+///     provider.
 
 namespace trilist {
 
@@ -69,6 +71,15 @@ class OrderingProvider {
   /// unless overridden (the tailored split).
   virtual Permutation PricingPermutation(
       const std::vector<int64_t>& ascending_degrees, uint64_t seed) const;
+
+  /// The label-order degree runs of PricingPermutation, built from
+  /// CompressRuns(A_n) in O(distinct degrees) — what the cost model
+  /// prices for every non-seeded provider: the pricing_kind()'s
+  /// NamedOrderRuns unless overridden (the tailored split). Seeded
+  /// orders (theta_U) have no segment shape and are priced through
+  /// PricingPermutation instead.
+  virtual std::vector<DegreeRun> PricingRuns(
+      const std::vector<DegreeRun>& ascending_runs) const;
 
   /// Per-node labels on a realized graph — the orientation input.
   /// Deterministic given (g, seed); seed is consulted iff seeded().

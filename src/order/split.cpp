@@ -5,6 +5,7 @@
 
 #include "src/algo/cost.h"
 #include "src/core/out_degree_model.h"
+#include "src/order/named_orders.h"
 
 namespace trilist {
 
@@ -21,11 +22,23 @@ Permutation SplitPermutation(size_t n, size_t s) {
   return Permutation(std::move(map));
 }
 
+std::vector<DegreeRun> SplitRuns(const std::vector<DegreeRun>& ascending_runs,
+                                 size_t s) {
+  const size_t n = RunsLength(ascending_runs);
+  s = std::min(s, n);
+  return SegmentRuns(ascending_runs,
+                     {{n - s, n, true, -1}, {0, n - s, false, -1}});
+}
+
 size_t TailoredSplitIndex(const std::vector<int64_t>& ascending_degrees) {
-  const size_t n = ascending_degrees.size();
+  return TailoredSplitIndex(CompressRuns(ascending_degrees));
+}
+
+size_t TailoredSplitIndex(const std::vector<DegreeRun>& ascending_runs) {
+  const size_t n = RunsLength(ascending_runs);
   if (n == 0) return 0;
   // Geometric grid {0, 1, 2, 4, ...} plus the theta_D endpoint s = n:
-  // O(log n) candidates, each one O(n) pass that prices every method.
+  // O(log n) candidates, each priced in O(distinct degrees).
   std::vector<size_t> grid{0};
   for (size_t s = 1; s < n; s *= 2) grid.push_back(s);
   grid.push_back(n);
@@ -33,7 +46,7 @@ size_t TailoredSplitIndex(const std::vector<int64_t>& ascending_degrees) {
   double best_cost = std::numeric_limits<double>::infinity();
   for (const size_t s : grid) {
     const MethodCosts costs =
-        SequenceConditionalCosts(ascending_degrees, SplitPermutation(n, s));
+        RunConditionalCosts(SplitRuns(ascending_runs, s));
     double cost = std::numeric_limits<double>::infinity();
     for (const Method m : FundamentalMethods()) {
       cost = std::min(cost, costs[static_cast<size_t>(m)]);

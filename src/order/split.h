@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "src/core/out_degree_model.h"
 #include "src/order/permutation.h"
 
 /// \file split.h
@@ -29,11 +30,21 @@ namespace trilist {
 /// The split-s positional permutation of size n (s clamped to [0, n]).
 Permutation SplitPermutation(size_t n, size_t s);
 
+/// The label-order degree runs of SplitPermutation(n, s) over
+/// CompressRuns(A_n): the top s ranks descending, then the rest
+/// ascending — two monotone segments, O(distinct degrees).
+std::vector<DegreeRun> SplitRuns(const std::vector<DegreeRun>& ascending_runs,
+                                 size_t s);
+
 /// The tailored split index: argmin over a geometric grid of s (including
 /// the endpoints 0 and n) of min over the fundamental methods of the
-/// sequence-conditional cost on `ascending_degrees`. Deterministic; ties
-/// break toward the smaller s.
+/// sequence-conditional cost on `ascending_degrees`, each grid point
+/// priced by degree runs (RunConditionalCosts of SplitRuns).
+/// Deterministic; ties break toward the smaller s.
 size_t TailoredSplitIndex(const std::vector<int64_t>& ascending_degrees);
+
+/// The same index from the already compressed CompressRuns(A_n).
+size_t TailoredSplitIndex(const std::vector<DegreeRun>& ascending_runs);
 
 /// SplitPermutation(n, TailoredSplitIndex(ascending_degrees)).
 Permutation TailoredSplitPermutation(

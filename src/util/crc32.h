@@ -7,7 +7,9 @@
 /// \file crc32.h
 /// CRC-32 (IEEE 802.3, reflected, polynomial 0xEDB88320) — the checksum
 /// guarding every section of the `.tlg` binary graph container (see
-/// src/graph/binfmt.h). Table-driven, incremental, no dependencies.
+/// src/graph/binfmt.h). Slice-by-8 table-driven (eight 256-entry tables,
+/// eight bytes per step, portable C++ with explicit byte order),
+/// incremental, no dependencies.
 
 namespace trilist {
 

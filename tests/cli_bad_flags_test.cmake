@@ -57,3 +57,44 @@ execute_process(
 if(NOT ok_result EQUAL 0)
   message(FATAL_ERROR "run --n 50 --threads 2 failed: ${ok_out} ${ok_err}")
 endif()
+
+# `<subcommand> --help` prints that subcommand's usage block and, on a
+# closing "flags:" line, every key of its Subcommands() entry — to
+# stdout, exit 0. Each accepted key must also be documented in the
+# usage block itself (`model --eps` once was not).
+foreach(sub generate count run model orders advise convert info serve
+            query mutate version)
+  execute_process(
+    COMMAND "${CLI}" ${sub} --help
+    RESULT_VARIABLE result OUTPUT_VARIABLE out ERROR_VARIABLE err)
+  if(NOT result EQUAL 0)
+    message(FATAL_ERROR "'${sub} --help' exited ${result}: ${out} ${err}")
+  endif()
+  string(FIND "${out}" "\nflags:" at)
+  if(at EQUAL -1)
+    message(FATAL_ERROR "'${sub} --help' printed no flags line: ${out}")
+  endif()
+  string(SUBSTRING "${out}" 0 ${at} usage)
+  string(SUBSTRING "${out}" ${at} -1 flag_line)
+  if(NOT usage MATCHES "\n  ${sub} ")
+    message(FATAL_ERROR "'${sub} --help' printed no usage block: ${out}")
+  endif()
+  string(REGEX MATCHALL "--[a-z-]+" keys "${flag_line}")
+  if(NOT sub MATCHES "^(orders|version)$" AND NOT keys)
+    message(FATAL_ERROR "'${sub} --help' listed no flags: ${out}")
+  endif()
+  foreach(key IN LISTS keys)
+    if(NOT usage MATCHES "${key}([^a-z-]|$)")
+      message(FATAL_ERROR
+              "'${sub} --help' accepts ${key} but its usage omits it")
+    endif()
+  endforeach()
+endforeach()
+
+# Without a subcommand, --help prints every usage block and exits 0.
+execute_process(
+  COMMAND "${CLI}" --help
+  RESULT_VARIABLE help_result OUTPUT_VARIABLE help_out ERROR_VARIABLE help_err)
+if(NOT help_result EQUAL 0 OR NOT help_out MATCHES "  mutate ")
+  message(FATAL_ERROR "'--help' exited ${help_result}: ${help_out} ${help_err}")
+endif()

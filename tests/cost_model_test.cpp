@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "src/algo/cost.h"
@@ -68,6 +70,13 @@ double ReferenceCost(const std::vector<int64_t>& degrees,
   return cost / static_cast<double>(by_label.size());
 }
 
+/// |got - want| <= 1e-12 |want|: the agreement of the closed-form run
+/// pricing with a label-by-label loop (rounding only).
+void ExpectRelativelyNear(double got, double want, const std::string& what) {
+  EXPECT_LE(std::abs(got - want), 1e-12 * std::abs(want))
+      << what << ": got " << got << ", want " << want;
+}
+
 TEST(CostModelTest, OnePassPricesEveryMethodBitExactly) {
   const DiscretePareto base(1.5, 15.0);
   const TruncatedDistribution fn(base, 400);
@@ -87,16 +96,129 @@ TEST(CostModelTest, OnePassPricesEveryMethodBitExactly) {
 
   const cost::CostModel model(degrees);
   for (const OrientSpec& spec : specs) {
-    const Permutation theta =
-        OrderingRegistry::Instance().Of(spec.kind).PricingPermutation(
-            degrees, spec.seed);
+    const OrderingProvider& provider =
+        OrderingRegistry::Instance().Of(spec.kind);
+    const Permutation theta = provider.PricingPermutation(degrees, spec.seed);
     for (const Method m : AllMethods()) {
-      // EXPECT_EQ, not EXPECT_DOUBLE_EQ: the shared pass must round
-      // exactly like the per-method loop.
-      EXPECT_EQ(model.PredictedOps(spec, m),
-                n * ReferenceCost(degrees, theta, m))
-          << spec.Key() << " " << MethodName(m);
+      const double got = model.PredictedOps(spec, m);
+      const double want = n * ReferenceCost(degrees, theta, m);
+      if (provider.seeded()) {
+        // EXPECT_EQ, not EXPECT_DOUBLE_EQ: theta_U's shared O(n) pass
+        // must round exactly like the per-method loop.
+        EXPECT_EQ(got, want) << spec.Key() << " " << MethodName(m);
+      } else {
+        // Every other ordering is priced by degree runs in closed form.
+        ExpectRelativelyNear(got, want,
+                             spec.Key() + " " + MethodName(m));
+      }
     }
+  }
+}
+
+/// Run pricing against the O(n) label loop on every ordering it serves
+/// (theta_A/D/RR/CRR and every split grid point), for one sequence.
+void ExpectRunPricingMatchesLabelLoop(const std::vector<int64_t>& degrees,
+                                      const WeightFn& w,
+                                      const std::string& name) {
+  const size_t n = degrees.size();
+  const std::vector<DegreeRun> ascending = CompressRuns(degrees);
+  std::vector<std::pair<std::string, Permutation>> thetas;
+  std::vector<std::vector<DegreeRun>> runs;
+  for (const PermutationKind kind :
+       {PermutationKind::kAscending, PermutationKind::kDescending,
+        PermutationKind::kRoundRobin,
+        PermutationKind::kComplementaryRoundRobin}) {
+    thetas.emplace_back(PermutationKindName(kind),
+                        MakePermutation(kind, n));
+    runs.push_back(NamedOrderRuns(kind, ascending));
+  }
+  std::vector<size_t> grid{0};
+  for (size_t s = 1; s < n; s *= 2) grid.push_back(s);
+  grid.push_back(n);
+  for (const size_t s : grid) {
+    thetas.emplace_back("split(" + std::to_string(s) + ")",
+                        SplitPermutation(n, s));
+    runs.push_back(SplitRuns(ascending, s));
+  }
+  for (size_t i = 0; i < thetas.size(); ++i) {
+    const std::string what = name + " " + thetas[i].first;
+    // The runs are exactly the label-order degree sequence, compressed.
+    EXPECT_EQ(runs[i], CompressRuns(DegreesByLabel(degrees, thetas[i].second)))
+        << what;
+    const MethodCosts want =
+        SequenceConditionalCosts(degrees, thetas[i].second, w);
+    const MethodCosts got = RunConditionalCosts(runs[i], w);
+    for (const Method m : AllMethods()) {
+      ExpectRelativelyNear(got[static_cast<size_t>(m)],
+                           want[static_cast<size_t>(m)],
+                           what + " " + MethodName(m));
+    }
+  }
+}
+
+TEST(RunPricingTest, MatchesTheLabelLoopOnEdgeCases) {
+  const WeightFn id = WeightFn::Identity();
+  ExpectRunPricingMatchesLabelLoop({}, id, "empty");
+  ExpectRunPricingMatchesLabelLoop({0, 0, 0}, id, "all zero");
+  ExpectRunPricingMatchesLabelLoop({3}, id, "n=1");
+  // n = 2 and 3: the RR and CRR segments start on either parity.
+  ExpectRunPricingMatchesLabelLoop({2, 5}, id, "n=2");
+  ExpectRunPricingMatchesLabelLoop({4, 4}, id, "n=2 regular");
+  ExpectRunPricingMatchesLabelLoop({1, 2, 7}, id, "n=3");
+  ExpectRunPricingMatchesLabelLoop({2, 2, 3}, id, "n=3 tied");
+  // Regular: one run under every ordering.
+  ExpectRunPricingMatchesLabelLoop(std::vector<int64_t>(101, 6), id,
+                                   "regular");
+  std::vector<int64_t> skewed = SkewedDegrees(200);
+  for (size_t i = 0; i < 17; ++i) skewed[i] = 0;  // zero-degree nodes
+  std::sort(skewed.begin(), skewed.end());
+  ExpectRunPricingMatchesLabelLoop(skewed, id, "skewed with zeros");
+}
+
+TEST(RunPricingTest, MatchesTheLabelLoopOnParetoSequences) {
+  for (const double alpha : {1.3, 1.5, 2.5}) {
+    const DiscretePareto base(alpha, 15.0);
+    const TruncatedDistribution fn(base, 1000);
+    Rng rng(23);
+    std::vector<int64_t> degrees(2000);
+    for (auto& d : degrees) d = fn.Sample(&rng);
+    std::sort(degrees.begin(), degrees.end());
+    ExpectRunPricingMatchesLabelLoop(degrees, WeightFn::Identity(),
+                                     "pareto " + std::to_string(alpha));
+  }
+}
+
+TEST(RunPricingTest, MatchesTheLabelLoopUnderACappedWeight) {
+  const DiscretePareto base(1.5, 15.0);
+  const TruncatedDistribution fn(base, 1000);
+  Rng rng(29);
+  std::vector<int64_t> degrees(2000);
+  for (auto& d : degrees) d = fn.Sample(&rng);
+  std::sort(degrees.begin(), degrees.end());
+  ExpectRunPricingMatchesLabelLoop(degrees, WeightFn::Capped(37.5),
+                                   "capped");
+}
+
+TEST(RunPricingTest, EqualLabelSequencesPriceBitIdentically) {
+  // theta_A is split(0) and theta_D is split(n); on a regular sequence
+  // every ordering lists the same labels. Ties must stay ties.
+  const std::vector<int64_t> degrees = SkewedDegrees(300);
+  const std::vector<DegreeRun> ascending = CompressRuns(degrees);
+  EXPECT_EQ(RunConditionalCosts(SplitRuns(ascending, 0)),
+            RunConditionalCosts(
+                NamedOrderRuns(PermutationKind::kAscending, ascending)));
+  EXPECT_EQ(RunConditionalCosts(SplitRuns(ascending, degrees.size())),
+            RunConditionalCosts(
+                NamedOrderRuns(PermutationKind::kDescending, ascending)));
+  const std::vector<DegreeRun> regular =
+      CompressRuns(std::vector<int64_t>(64, 5));
+  const MethodCosts a =
+      RunConditionalCosts(NamedOrderRuns(PermutationKind::kAscending, regular));
+  for (const PermutationKind kind :
+       {PermutationKind::kDescending, PermutationKind::kRoundRobin,
+        PermutationKind::kComplementaryRoundRobin}) {
+    EXPECT_EQ(RunConditionalCosts(NamedOrderRuns(kind, regular)), a)
+        << PermutationKindName(kind);
   }
 }
 

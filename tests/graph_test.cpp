@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
+#include "src/degree/degree_stats.h"
 #include "src/graph/builder.h"
 
 namespace trilist {
@@ -33,6 +37,19 @@ TEST(GraphTest, FromEdgesBuildsSortedCsr) {
   EXPECT_EQ(nb[0], 1u);
   EXPECT_EQ(nb[1], 2u);
   EXPECT_EQ(nb[2], 3u);
+}
+
+TEST(GraphTest, AscendingDegreesIsTheSortedDegreeVector) {
+  // Isolated nodes, repeated degrees and a hub: the counting sort must
+  // equal sorting Degrees().
+  auto r = Graph::FromEdges(
+      7, {{0, 1}, {0, 2}, {0, 3}, {0, 5}, {1, 2}, {3, 5}});
+  ASSERT_TRUE(r.ok());
+  std::vector<int64_t> sorted = r->Degrees();
+  std::sort(sorted.begin(), sorted.end());
+  EXPECT_EQ(AscendingDegrees(*r), sorted);
+  EXPECT_EQ(AscendingDegrees(MakeEmpty(3)), std::vector<int64_t>(3, 0));
+  EXPECT_TRUE(AscendingDegrees(MakeEmpty(0)).empty());
 }
 
 TEST(GraphTest, RejectsSelfLoop) {

@@ -8,6 +8,7 @@
 #include "src/algo/registry.h"
 #include "src/graph/binfmt.h"
 #include "src/graph/io.h"
+#include "src/obs/trace.h"
 #include "src/util/rng.h"
 #include "tests/expect_same_ops.h"
 
@@ -160,6 +161,34 @@ TEST(RunnerTest, TextAndCachedTlgSourcesAgree) {
     EXPECT_EQ(t.triangles, c.triangles) << MethodName(t.method);
     ExpectSameOps(t.ops, c.ops, MethodName(t.method));
   }
+}
+
+// A traced `.tlg` run splits its load stage: the CRC sweep is its own
+// "tlg.verify" span, recorded within the "load" stage span.
+TEST(RunnerTest, TracedTlgRunHasAVerifySpan) {
+  Rng rng(7);
+  auto graph = GenerateGraph(SmallPareto(), &rng);
+  ASSERT_TRUE(graph.ok());
+  const std::string tlg_path = TempPath("runner_traced.tlg");
+  ASSERT_TRUE(WriteTlgFile(*graph, tlg_path).ok());
+
+  RunSpec spec;
+  spec.source = GraphSource::FromFile(tlg_path);
+  spec.methods = {Method::kE1};
+  obs::Tracer::Disable();
+  obs::Tracer::Clear();
+  obs::Tracer::Enable();
+  auto report = RunPipeline(spec);
+  obs::Tracer::Disable();
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  const std::string json = obs::Tracer::ToChromeJson();
+  obs::Tracer::Clear();
+#if TRILIST_TRACING
+  EXPECT_NE(json.find("\"name\": \"load\""), std::string::npos);
+  EXPECT_NE(json.find("\"name\": \"tlg.verify\""), std::string::npos);
+#else
+  EXPECT_EQ(json.find("\"name\": \"tlg.verify\""), std::string::npos);
+#endif
 }
 
 // An in-memory source must match the generate source it came from, and

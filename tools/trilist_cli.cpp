@@ -1264,117 +1264,149 @@ int CmdVersion(const Flags& /*flags*/) {
   return 0;
 }
 
-int Usage() {
-  std::fprintf(
-      stderr,
-      "usage: trilist_cli "
-      "<generate|count|run|model|orders|advise|convert|info|serve|query|"
-      "mutate|version> [--flag value]...\n"
-      "  generate --n N --alpha A [--trunc root|linear] [--seed S] --out F\n"
-      "  count    --in F [--method T1..L6|auto] [--order O|auto]\n"
-      "           (orders: D|A|RR|CRR|U|degen|aot|split; see `orders`;\n"
-      "            auto = pick the min-predicted-cost plan, Section 3)\n"
-      "           [--threads N]   (N > 1: parallel engine; 0 = hardware)\n"
-      "           [--intersect merge|gallop|auto|simd|bitmap]\n"
-      "           [--mem-budget SIZE]   (e.g. 64M; E1/E2 run partitioned\n"
-      "            under the budget; .tlg inputs demand-page + evict)\n"
-      "           (--in accepts text edge lists or .tlg containers)\n"
-      "  run      [--in F | --n N --alpha A [--trunc root|linear]\n"
-      "           [--gen residual|config|gnp]]\n"
-      "           [--methods M1,M2,...|all|fundamental|auto] [--order O|auto]\n"
-      "           [--seed S] [--threads N] [--repeats R]\n"
-      "           [--intersect merge|gallop|auto|simd|bitmap]\n"
-      "           (with --methods/--order auto, --intersect auto joins the\n"
-      "            planner; the report's \"plan\" object audits the choice)\n"
-      "           [--bitmap-min-degree D]   (0 = auto max(64, n/64))\n"
-      "           [--report table|json] [--trace F.json] [--metrics F.prom]\n"
-      "           [--degree-profile] [--mem-budget SIZE]\n"
-      "           (--trace: Chrome/Perfetto span trace of the pipeline;\n"
-      "            --metrics: Prometheus text exposition of the report;\n"
-      "            --degree-profile: per-log2-degree-bucket measured ops\n"
-      "            vs the model's g(d)h(q) with relative residuals)\n"
-      "  model    --alpha A [--n N] [--trunc ...] [--method M] [--order O]\n"
-      "  orders   (list registered orderings: keys, flags, descriptions)\n"
-      "  advise   --alpha A [--speedup X]\n"
-      "  convert  --in F --out F [--orders D,RR,...] [--seed S]\n"
-      "           [--threads N]   (--out *.tlg = binary, else text)\n"
-      "           [--mem-budget SIZE [--tmpdir DIR] [--io-workers N]\n"
-      "            [--no-direct-io] [--report json]]\n"
-      "           (--mem-budget: out-of-core text -> .tlg conversion;\n"
-      "            external edge sort spills to --tmpdir, peak memory\n"
-      "            stays under the budget for any graph size)\n"
-      "  info     --in F.tlg   (describes the on-disk snapshot; a served\n"
-      "           graph's live epoch/overlay state is in `query --stats`)\n"
-      "  serve    [--tcp PORT] [--host H] [--unix PATH] [--graphs DIR]\n"
-      "           [--graph name=path[,...]] [--workers N] [--queue N]\n"
-      "           [--catalog N] [--sjf] [--max-threads N] [--send-timeout SEC]\n"
-      "           [--paged]   (demand-page .tlg graphs instead of eager\n"
-      "            load + CRC sweep; for catalogs larger than RAM)\n"
-      "           (trilistd: the triangle-query daemon; --tcp 0 binds an\n"
-      "            ephemeral port; SIGTERM drains gracefully)\n"
-      "  query    (--connect HOST:PORT | --unix PATH) --graph NAME\n"
-      "           [--methods ...] [--order O] [--seed S] [--threads N]\n"
-      "           [--repeats R] [--report] [--stats]\n"
-      "  mutate   (--connect HOST:PORT | --unix PATH) --graph NAME\n"
-      "           [--add u:v[,u:v...]] [--del u:v[,...]] [--ops-file F]\n"
-      "           [--batch N]   (remote: batched edge inserts/deletes;\n"
-      "            each batch publishes a new epoch, count stays exact)\n"
-      "       or  --in GRAPH --log F [--verify] [--out F.tlg]\n"
-      "           [--batch N] [--threads N]\n"
-      "           (local: replay a mutation log incrementally; --verify\n"
-      "            recounts from scratch with T1+T2 and byte-compares a\n"
-      "            compaction against a fresh convert — exit 1 on any\n"
-      "            divergence)\n"
-      "  version  (build provenance: version, git hash, compiler, flags)\n");
-  return 2;
-}
-
-/// A subcommand and the --flag keys it reads; Flags rejects any other.
+/// A subcommand, its usage block and the --flag keys it reads; Flags
+/// rejects any other key, and `<name> --help` prints the usage block and
+/// this list.
 struct Subcommand {
   const char* name;
   int (*run)(const Flags&);
   std::vector<std::string> flags;
+  const char* usage;
 };
 
 const std::vector<Subcommand>& Subcommands() {
   static const std::vector<Subcommand> kAll = {
-      {"generate", CmdGenerate, {"n", "alpha", "trunc", "seed", "out"}},
+      {"generate", CmdGenerate, {"n", "alpha", "trunc", "seed", "out"},
+       "  generate --n N --alpha A [--trunc root|linear] [--seed S] --out F\n"},
       {"count", CmdCount,
        {"in", "method", "order", "seed", "threads", "intersect",
-        "bitmap-min-degree", "mem-budget"}},
+        "bitmap-min-degree", "mem-budget"},
+       "  count    --in F [--method T1..L6|auto] [--order O|auto]\n"
+       "           (orders: D|A|RR|CRR|U|degen|aot|split; see `orders`;\n"
+       "            auto = pick the min-predicted-cost plan, Section 3)\n"
+       "           [--seed S]   (theta_U's shuffle seed)\n"
+       "           [--threads N]   (N > 1: parallel engine; 0 = hardware)\n"
+       "           [--intersect merge|gallop|auto|simd|bitmap]\n"
+       "           [--bitmap-min-degree D]   (0 = auto max(64, n/64))\n"
+       "           [--mem-budget SIZE]   (e.g. 64M; E1/E2 run partitioned\n"
+       "            under the budget; .tlg inputs demand-page + evict)\n"
+       "           (--in accepts text edge lists or .tlg containers)\n"},
       {"run", CmdRun,
        {"in", "n", "alpha", "trunc", "gen", "methods", "method", "order",
         "seed", "threads", "repeats", "intersect", "bitmap-min-degree",
-        "report", "trace", "metrics", "degree-profile", "mem-budget"}},
-      {"model", CmdModel, {"alpha", "n", "trunc", "method", "order", "eps"}},
-      {"orders", CmdOrders, {}},
-      {"advise", CmdAdvise, {"alpha", "speedup"}},
+        "report", "trace", "metrics", "degree-profile", "mem-budget"},
+       "  run      [--in F | --n N --alpha A [--trunc root|linear]\n"
+       "           [--gen residual|config|gnp]]\n"
+       "           [--methods M1,M2,...|all|fundamental|auto] [--order O|auto]\n"
+       "           (--method is accepted as a synonym of --methods)\n"
+       "           [--seed S] [--threads N] [--repeats R]\n"
+       "           [--intersect merge|gallop|auto|simd|bitmap]\n"
+       "           (with --methods/--order auto, --intersect auto joins the\n"
+       "            planner; the report's \"plan\" object audits the choice)\n"
+       "           [--bitmap-min-degree D]   (0 = auto max(64, n/64))\n"
+       "           [--report table|json] [--trace F.json] [--metrics F.prom]\n"
+       "           [--degree-profile] [--mem-budget SIZE]\n"
+       "           (--trace: Chrome/Perfetto span trace of the pipeline;\n"
+       "            --metrics: Prometheus text exposition of the report;\n"
+       "            --degree-profile: per-log2-degree-bucket measured ops\n"
+       "            vs the model's g(d)h(q) with relative residuals)\n"},
+      {"model", CmdModel, {"alpha", "n", "trunc", "method", "order", "eps"},
+       "  model    --alpha A [--n N] [--trunc ...] [--method M] [--order O]\n"
+       "           [--eps E]   (Algorithm 2 block width; default 1e-5)\n"},
+      {"orders", CmdOrders, {},
+       "  orders   (list registered orderings: keys, flags, descriptions)\n"},
+      {"advise", CmdAdvise, {"alpha", "speedup"},
+       "  advise   --alpha A [--speedup X]\n"},
       {"convert", CmdConvert,
        {"in", "out", "orders", "seed", "threads", "mem-budget", "tmpdir",
-        "io-workers", "no-direct-io", "report"}},
-      {"info", CmdInfo, {"in"}},
+        "io-workers", "no-direct-io", "report"},
+       "  convert  --in F --out F [--orders D,RR,...] [--seed S]\n"
+       "           [--threads N]   (--out *.tlg = binary, else text)\n"
+       "           [--mem-budget SIZE [--tmpdir DIR] [--io-workers N]\n"
+       "            [--no-direct-io] [--report json]]\n"
+       "           (--mem-budget: out-of-core text -> .tlg conversion;\n"
+       "            external edge sort spills to --tmpdir, peak memory\n"
+       "            stays under the budget for any graph size)\n"},
+      {"info", CmdInfo, {"in"},
+       "  info     --in F.tlg   (describes the on-disk snapshot; a served\n"
+       "           graph's live epoch/overlay state is in `query --stats`)\n"},
       {"serve", CmdServe,
        {"tcp", "host", "unix", "graphs", "graph", "workers", "queue",
-        "catalog", "sjf", "max-threads", "send-timeout", "paged"}},
+        "catalog", "sjf", "max-threads", "send-timeout", "paged"},
+       "  serve    [--tcp PORT] [--host H] [--unix PATH] [--graphs DIR]\n"
+       "           [--graph name=path[,...]] [--workers N] [--queue N]\n"
+       "           [--catalog N] [--sjf] [--max-threads N] [--send-timeout SEC]\n"
+       "           [--paged]   (demand-page .tlg graphs instead of eager\n"
+       "            load + CRC sweep; for catalogs larger than RAM)\n"
+       "           (trilistd: the triangle-query daemon; --tcp 0 binds an\n"
+       "            ephemeral port; SIGTERM drains gracefully)\n"},
       {"query", CmdQuery,
        {"connect", "unix", "graph", "methods", "order", "seed", "threads",
-        "repeats", "report", "stats"}},
+        "repeats", "report", "stats"},
+       "  query    (--connect HOST:PORT | --unix PATH) --graph NAME\n"
+       "           [--methods ...] [--order O] [--seed S] [--threads N]\n"
+       "           [--repeats R] [--report] [--stats]\n"},
       {"mutate", CmdMutate,
        {"connect", "unix", "graph", "add", "del", "ops-file", "log", "batch",
-        "in", "verify", "out", "threads"}},
-      {"version", CmdVersion, {}},
+        "in", "verify", "out", "threads"},
+       "  mutate   (--connect HOST:PORT | --unix PATH) --graph NAME\n"
+       "           [--add u:v[,u:v...]] [--del u:v[,...]] [--ops-file F]\n"
+       "           [--batch N]   (remote: batched edge inserts/deletes;\n"
+       "            each batch publishes a new epoch, count stays exact)\n"
+       "       or  --in GRAPH --log F [--verify] [--out F.tlg]\n"
+       "           [--batch N] [--threads N]\n"
+       "           (local: replay a mutation log incrementally; --verify\n"
+       "            recounts from scratch with T1+T2 and byte-compares a\n"
+       "            compaction against a fresh convert — exit 1 on any\n"
+       "            divergence)\n"},
+      {"version", CmdVersion, {},
+       "  version  (build provenance: version, git hash, compiler, flags)\n"},
   };
   return kAll;
+}
+
+/// Every subcommand's usage block: to stdout with exit 0 when asked for
+/// (`--help`), else to stderr with the usage-error exit 2.
+int Usage(bool asked) {
+  FILE* out = asked ? stdout : stderr;
+  std::string names;
+  for (const Subcommand& sub : Subcommands()) {
+    names += (names.empty() ? "" : "|") + std::string(sub.name);
+  }
+  std::fprintf(out,
+               "usage: trilist_cli <%s> [--flag value]...\n"
+               "       trilist_cli <subcommand> --help\n",
+               names.c_str());
+  for (const Subcommand& sub : Subcommands()) std::fputs(sub.usage, out);
+  return asked ? 0 : 2;
+}
+
+/// `<subcommand> --help`: its usage block and the flag keys it accepts.
+int SubcommandHelp(const Subcommand& sub) {
+  std::printf("usage: trilist_cli\n%s", sub.usage);
+  std::printf("flags:");
+  for (const std::string& key : sub.flags) std::printf(" --%s", key.c_str());
+  std::printf("%s\n", sub.flags.empty() ? " (none)" : "");
+  return 0;
+}
+
+bool AsksForHelp(int argc, char** argv) {
+  for (int i = 2; i < argc; ++i) {
+    if (std::strcmp(argv[i], "--help") == 0) return true;
+  }
+  return false;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc < 2) return Usage();
+  if (argc < 2) return Usage(/*asked=*/false);
   const std::string cmd =
       std::strcmp(argv[1], "--version") == 0 ? "version" : argv[1];
   for (const Subcommand& sub : Subcommands()) {
-    if (cmd == sub.name) return sub.run(Flags(argc, argv, sub.flags));
+    if (cmd != sub.name) continue;
+    if (AsksForHelp(argc, argv)) return SubcommandHelp(sub);
+    return sub.run(Flags(argc, argv, sub.flags));
   }
-  return Usage();
+  return Usage(/*asked=*/cmd == "--help" || cmd == "help");
 }

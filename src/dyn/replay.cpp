@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "src/algo/cost.h"
-#include "src/dyn/compact.h"
 #include "src/dyn/dyn_graph.h"
 #include "src/graph/binfmt.h"
 #include "src/obs/trace.h"
@@ -95,18 +94,15 @@ Result<ReplayReport> ReplayVerify(const Graph& base,
   if (options.verify_tlg && !options.compact_path.empty() &&
       !options.fresh_path.empty()) {
     report.tlg_checked = true;
-    CompactOptions compact;
-    compact.orientations = options.orientations;
-    compact.threads = options.threads;
+    TlgWriteOptions write;
+    write.orientations = options.orientations;
+    write.threads = options.threads;
     TRILIST_RETURN_NOT_OK(
-        CompactToTlg(final_graph, options.compact_path, compact));
+        WriteTlgFile(final_graph, options.compact_path, write));
 
     Result<Graph> fresh = Graph::FromEdges(final_graph.num_nodes(),
                                            final_graph.EdgeList());
     if (!fresh.ok()) return fresh.status();
-    TlgWriteOptions write;
-    write.orientations = options.orientations;
-    write.threads = options.threads;
     TRILIST_RETURN_NOT_OK(
         WriteTlgFile(*fresh, options.fresh_path, write));
 

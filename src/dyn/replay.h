@@ -20,10 +20,10 @@
 ///      equal a from-scratch recount of the final graph by two different
 ///      listing methods (T1 and T2 through the registry — the same code
 ///      path served queries run).
-///   2. **Bytes.** A compaction of the final dynamic state streamed
-///      through CompactToTlg must be bit-identical to WriteTlgFile on a
-///      Graph rebuilt via FromEdges from the final edge list — proving
-///      the overlay/merge machinery leaves no trace in the container.
+///   2. **Bytes.** WriteTlgFile of the materialized final dynamic state
+///      must be bit-identical to WriteTlgFile of a Graph rebuilt via
+///      FromEdges from the final edge list — proving the overlay/merge
+///      machinery leaves no trace in the container.
 ///
 /// Any divergence is a bug in the incremental path, never "expected
 /// drift": both checks are exact or they fail.

@@ -3,17 +3,17 @@
 #include <bit>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <limits>
 
 #include "src/graph/binfmt_layout.h"
+#include "src/graph/binfmt_stream.h"
 #include "src/obs/trace.h"
 #include "src/util/crc32.h"
 
 namespace trilist {
 
-// The on-disk structs and constants live in binfmt_layout.h, shared with
-// the streaming writer (binfmt_stream.cpp) so both emit the same bytes.
+// The on-disk structs, constants and section plan live in
+// binfmt_layout.h; the bytes themselves are written by TlgStreamWriter.
 using namespace tlg;  // NOLINT(build/namespaces)
 
 namespace {
@@ -22,14 +22,6 @@ namespace {
 // in place as size_t; both hold on every platform this library targets.
 static_assert(sizeof(size_t) == sizeof(uint64_t),
               ".tlg zero-copy loading requires 64-bit size_t");
-
-/// Appends raw bytes to the stream and folds them into a running CRC.
-void WritePiece(std::ofstream* out, uint32_t* crc, const void* data,
-                size_t len) {
-  out->write(static_cast<const char*>(data),
-             static_cast<std::streamsize>(len));
-  *crc = Crc32Update(*crc, data, len);
-}
 
 Status CorruptError(const std::string& path, const std::string& what) {
   return Status::InvalidArgument("corrupt .tlg file " + path + ": " + what);
@@ -90,135 +82,45 @@ const char* TlgSectionTypeName(uint32_t type) {
 
 Status WriteTlgFile(const Graph& g, const std::string& path,
                     const TlgWriteOptions& options) {
-  if constexpr (std::endian::native != std::endian::little) {
-    return Status::NotImplemented(".tlg writing requires a little-endian "
-                                  "host");
-  }
   const uint64_t n = g.num_nodes();
   const uint64_t m = g.num_edges();
   // A default-constructed Graph has an empty offsets array; serialize it
   // as the canonical empty graph (offsets = {0}).
   static constexpr size_t kZeroOffset = 0;
-  const std::span<const size_t> g_offsets =
+  const std::span<const size_t> offsets =
       g.RawOffsets().empty() ? std::span<const size_t>(&kZeroOffset, 1)
                              : g.RawOffsets();
-
-  // Precompute the requested orientations (deterministic for any thread
-  // count, so `convert` output is reproducible byte for byte).
-  std::vector<OrientedGraph> oriented;
-  oriented.reserve(options.orientations.size());
-  for (const OrientSpec& spec : options.orientations) {
-    oriented.push_back(OrientWithSpec(g, spec, options.threads));
-  }
-  std::vector<int64_t> degrees;
-  if (options.write_degrees) degrees = g.Degrees();
-
-  // Lay out the section directory.
-  struct Plan {
-    uint32_t type;
-    uint32_t aux;
-    uint64_t length;
-  };
-  std::vector<Plan> plan;
-  plan.push_back({kSecCsrOffsets, 0, (n + 1) * sizeof(uint64_t)});
-  plan.push_back({kSecCsrNeighbors, 0, 2 * m * sizeof(NodeId)});
+  Result<TlgStreamWriter> writer = TlgStreamWriter::Create(
+      path, n, m,
+      SectionPlan(n, m, options.write_degrees, options.orientations.size()));
+  if (!writer.ok()) return writer.status();
+  TlgStreamWriter& w = writer.ValueOrDie();
+  TRILIST_RETURN_NOT_OK(w.Append(offsets.data(), offsets.size_bytes()));
+  TRILIST_RETURN_NOT_OK(w.Append(g.RawNeighbors().data(),
+                                 g.RawNeighbors().size_bytes()));
   if (options.write_degrees) {
-    plan.push_back({kSecDegrees, 0, n * sizeof(int64_t)});
+    const std::vector<int64_t> degrees = g.Degrees();
+    TRILIST_RETURN_NOT_OK(
+        w.Append(degrees.data(), degrees.size() * sizeof(int64_t)));
   }
-  for (size_t i = 0; i < oriented.size(); ++i) {
-    const uint64_t arcs = oriented[i].num_arcs();
-    const uint64_t len = sizeof(OrientHeader) +
-                         2 * (n + 1) * sizeof(uint64_t) +
-                         2 * arcs * sizeof(NodeId) + n * sizeof(NodeId);
-    plan.push_back({kSecOrientation, static_cast<uint32_t>(i), len});
+  // One orientation alive at a time; each build is deterministic for
+  // any thread count, so `convert` output is reproducible byte for byte.
+  for (const OrientSpec& spec : options.orientations) {
+    const OrientedGraph og = OrientWithSpec(g, spec, options.threads);
+    const OrientHeader header = MakeOrientHeader(spec, m);
+    TRILIST_RETURN_NOT_OK(w.Append(&header, sizeof(header)));
+    TRILIST_RETURN_NOT_OK(w.Append(og.RawOutOffsets().data(),
+                                   og.RawOutOffsets().size_bytes()));
+    TRILIST_RETURN_NOT_OK(w.Append(og.RawInOffsets().data(),
+                                   og.RawInOffsets().size_bytes()));
+    TRILIST_RETURN_NOT_OK(w.Append(og.RawOutNeighbors().data(),
+                                   og.RawOutNeighbors().size_bytes()));
+    TRILIST_RETURN_NOT_OK(w.Append(og.RawInNeighbors().data(),
+                                   og.RawInNeighbors().size_bytes()));
+    TRILIST_RETURN_NOT_OK(w.Append(og.original_of().data(),
+                                   og.original_of().size_bytes()));
   }
-
-  std::vector<SectionEntry> table(plan.size());
-  uint64_t cursor =
-      sizeof(FileHeader) + plan.size() * sizeof(SectionEntry);
-  for (size_t i = 0; i < plan.size(); ++i) {
-    cursor = AlignUp8(cursor);
-    table[i] = SectionEntry{plan[i].type, plan[i].aux, cursor,
-                            plan[i].length, 0, 0};
-    cursor += plan[i].length;
-  }
-
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) {
-    return Status::InvalidArgument("cannot open for writing: " + path);
-  }
-
-  // Header and table are rewritten at the end once the CRCs are known;
-  // reserve their bytes now so payload offsets are final.
-  const std::vector<char> table_placeholder(
-      sizeof(FileHeader) + table.size() * sizeof(SectionEntry), '\0');
-  out.write(table_placeholder.data(),
-            static_cast<std::streamsize>(table_placeholder.size()));
-
-  uint64_t written = table_placeholder.size();
-  const char pad[8] = {0};
-  size_t orient_idx = 0;
-  for (size_t i = 0; i < table.size(); ++i) {
-    const uint64_t aligned = AlignUp8(written);
-    out.write(pad, static_cast<std::streamsize>(aligned - written));
-    written = aligned;
-    uint32_t crc = 0;
-    switch (table[i].type) {
-      case kSecCsrOffsets:
-        WritePiece(&out, &crc, g_offsets.data(), g_offsets.size_bytes());
-        break;
-      case kSecCsrNeighbors:
-        WritePiece(&out, &crc, g.RawNeighbors().data(),
-                   g.RawNeighbors().size_bytes());
-        break;
-      case kSecDegrees:
-        WritePiece(&out, &crc, degrees.data(),
-                   degrees.size() * sizeof(int64_t));
-        break;
-      case kSecOrientation: {
-        const OrientSpec& spec = options.orientations[orient_idx];
-        const OrientedGraph& og = oriented[orient_idx];
-        ++orient_idx;
-        const OrientHeader oh{
-            PermKindToCode(spec.kind), 0,
-            spec.kind == PermutationKind::kUniform ? spec.seed : 0,
-            og.num_arcs()};
-        WritePiece(&out, &crc, &oh, sizeof(oh));
-        WritePiece(&out, &crc, og.RawOutOffsets().data(),
-                   og.RawOutOffsets().size_bytes());
-        WritePiece(&out, &crc, og.RawInOffsets().data(),
-                   og.RawInOffsets().size_bytes());
-        WritePiece(&out, &crc, og.RawOutNeighbors().data(),
-                   og.RawOutNeighbors().size_bytes());
-        WritePiece(&out, &crc, og.RawInNeighbors().data(),
-                   og.RawInNeighbors().size_bytes());
-        WritePiece(&out, &crc, og.original_of().data(),
-                   og.original_of().size_bytes());
-        break;
-      }
-    }
-    table[i].crc32 = crc;
-    written += table[i].length;
-  }
-
-  FileHeader header{};
-  std::memcpy(header.magic, kMagic, sizeof(kMagic));
-  header.version = kVersion;
-  header.section_count = static_cast<uint32_t>(table.size());
-  header.num_nodes = n;
-  header.num_edges = m;
-  header.table_crc =
-      Crc32Update(0, table.data(), table.size() * sizeof(SectionEntry));
-  header.reserved = 0;
-
-  out.seekp(0);
-  out.write(reinterpret_cast<const char*>(&header), sizeof(header));
-  out.write(reinterpret_cast<const char*>(table.data()),
-            static_cast<std::streamsize>(table.size() *
-                                         sizeof(SectionEntry)));
-  out.flush();
-  if (!out) return Status::Internal("write failed: " + path);
-  return Status::OK();
+  return w.Finish();
 }
 
 const OrientedGraph* TlgFile::FindOrientation(const OrientSpec& spec) const {
@@ -326,8 +228,8 @@ Result<TlgFile> TlgFile::Open(const std::string& path,
   }
   // Reject counts whose sections could not possibly fit in the file
   // BEFORE any length arithmetic: with m near 2^62 an expression like
-  // `2 * m * sizeof(NodeId)` below (and in the orientation `want`
-  // computation) wraps mod 2^64, so a forged header could otherwise
+  // `2 * m * sizeof(NodeId)` below (and in OrientationSectionLength)
+  // wraps mod 2^64, so a forged header could otherwise
   // pass every length/bounds/CRC check with a tiny section and hand the
   // validator a ~2^62-element view (the CRC is not a defense — it is
   // trivially recomputable by an attacker).
@@ -383,10 +285,7 @@ Result<TlgFile> TlgFile::Open(const std::string& path,
         return CorruptError(path,
                             "orientation arc count disagrees with header");
       }
-      const uint64_t want = sizeof(OrientHeader) +
-                            2 * (n + 1) * sizeof(uint64_t) +
-                            2 * m * sizeof(NodeId) + n * sizeof(NodeId);
-      if (e.length != want) {
+      if (e.length != OrientationSectionLength(n, m)) {
         return CorruptError(path, "orientation section length mismatch");
       }
       // 64-bit arrays first, then the 32-bit ones, so every view is

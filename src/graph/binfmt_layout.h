@@ -2,15 +2,19 @@
 
 #include <cstdint>
 #include <cstddef>
+#include <vector>
 
-#include "src/order/named_orders.h"
+#include "src/graph/binfmt_stream.h"
+#include "src/order/pipeline.h"
 
 /// \file binfmt_layout.h
 /// On-disk layout of the `.tlg` container (version 1), shared by the
-/// in-memory writer/loader (src/graph/binfmt.cpp) and the streaming
-/// writer (src/graph/binfmt_stream.h) so the two paths cannot drift: a
-/// graph serialized by either writer is byte-identical given the same
-/// sections. Internal header — the public API stays in binfmt.h.
+/// loader (src/graph/binfmt.cpp), the one writer
+/// (src/graph/binfmt_stream.h) and its producers: WriteTlgFile from
+/// in-memory spans, and the out-of-core converter (src/ooc/convert.h).
+/// Every producer lays out its directory with SectionPlan, so equal
+/// inputs give equal bytes. Internal header — the public API stays in
+/// binfmt.h.
 ///
 /// All fields are little-endian; sections are 8-byte aligned within the
 /// file and located through the directory, never by position.
@@ -99,6 +103,31 @@ inline size_t AlignUp8(size_t x) { return (x + 7u) & ~size_t{7}; }
 inline uint64_t OrientationSectionLength(uint64_t n, uint64_t m) {
   return sizeof(OrientHeader) + 2 * (n + 1) * sizeof(uint64_t) +
          2 * m * sizeof(uint32_t) + n * sizeof(uint32_t);
+}
+
+/// The orientation sub-header for `spec` over m arcs. The seed is
+/// stored for the uniform order only, so equal orders give equal bytes.
+inline OrientHeader MakeOrientHeader(const OrientSpec& spec, uint64_t m) {
+  return {PermKindToCode(spec.kind), 0,
+          spec.kind == PermutationKind::kUniform ? spec.seed : 0, m};
+}
+
+/// The section directory of an (n, m) graph, in file order: CSR
+/// offsets, CSR neighbors, the optional degree sequence, then one
+/// orientation per embedded spec (its slot index in `aux`). Every
+/// orientation holds exactly m arcs (the loader rejects any other
+/// count), so the plan depends on the counts alone.
+inline std::vector<TlgStreamSectionPlan> SectionPlan(
+    uint64_t n, uint64_t m, bool write_degrees, size_t num_orientations) {
+  std::vector<TlgStreamSectionPlan> plan;
+  plan.push_back({kSecCsrOffsets, 0, (n + 1) * sizeof(uint64_t)});
+  plan.push_back({kSecCsrNeighbors, 0, 2 * m * sizeof(uint32_t)});
+  if (write_degrees) plan.push_back({kSecDegrees, 0, n * sizeof(int64_t)});
+  for (size_t i = 0; i < num_orientations; ++i) {
+    plan.push_back({kSecOrientation, static_cast<uint32_t>(i),
+                    OrientationSectionLength(n, m)});
+  }
+  return plan;
 }
 
 }  // namespace trilist::tlg

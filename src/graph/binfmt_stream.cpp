@@ -35,9 +35,10 @@ Result<TlgStreamWriter> TlgStreamWriter::Create(
     return Status::InvalidArgument("cannot open for writing: " + path +
                                    ": " + std::strerror(errno));
   }
-  // Compute section offsets exactly as the in-memory writer does, then
-  // reserve the header + directory bytes as zeros. The magic arrives
-  // only in Finish(), so an interrupted stream is never a valid `.tlg`.
+  // Sections start 8-byte aligned after the header and directory. Every
+  // write is positioned, so the header, directory and alignment gaps
+  // stay zero until Finish() fills the first two: the magic arrives
+  // last, and an interrupted stream is never a valid `.tlg`.
   uint64_t cursor =
       sizeof(FileHeader) + plan.size() * sizeof(SectionEntry);
   w.offsets_.reserve(plan.size());
@@ -48,36 +49,15 @@ Result<TlgStreamWriter> TlgStreamWriter::Create(
   }
   w.crcs_.assign(plan.size(), 0);
   w.plan_ = std::move(plan);
-  const std::vector<char> placeholder(
-      sizeof(FileHeader) + w.plan_.size() * sizeof(SectionEntry), '\0');
-  TRILIST_RETURN_NOT_OK(w.WriteRaw(placeholder.data(),
-                                   placeholder.size()));
   return w;
 }
 
-Status TlgStreamWriter::WriteRaw(const void* data, size_t len) {
-  if (fail_after_bytes_ != 0 && file_bytes_ + len > fail_after_bytes_) {
-    return Status::Internal("write failed: " + path_ +
-                            ": No space left on device (injected)");
-  }
-  const char* p = static_cast<const char*>(data);
-  size_t done = 0;
-  while (done < len) {
-    const ssize_t got = ::write(fd_, p + done, len - done);
-    if (got < 0) {
-      if (errno == EINTR) continue;
-      return Status::Internal("write failed: " + path_ + ": " +
-                              std::strerror(errno));
-    }
-    done += static_cast<size_t>(got);
-  }
-  file_bytes_ += len;
-  return Status::OK();
-}
-
-Status TlgStreamWriter::WriteRawAt(const void* data, size_t len,
-                                   uint64_t offset) {
-  if (fail_after_bytes_ != 0 && file_bytes_ + len > fail_after_bytes_) {
+Status TlgStreamWriter::WriteAt(const void* data, size_t len,
+                                uint64_t offset) {
+  // Only growth counts against the fault budget: the directory and
+  // header land over bytes the payload offsets already imply.
+  const uint64_t end = std::max<uint64_t>(file_end_, offset + len);
+  if (fail_after_bytes_ != 0 && end > fail_after_bytes_) {
     return Status::Internal("write failed: " + path_ +
                             ": No space left on device (injected)");
   }
@@ -93,7 +73,7 @@ Status TlgStreamWriter::WriteRawAt(const void* data, size_t len,
     }
     done += static_cast<size_t>(got);
   }
-  file_bytes_ += len;
+  file_end_ = end;
   return Status::OK();
 }
 
@@ -111,23 +91,15 @@ Status TlgStreamWriter::Append(const void* data, size_t len) {
       ++current_;
       continue;
     }
-    // Entering a fresh section: pad the file cursor up to the aligned
-    // offset the directory was laid out with.
-    if (in_section_ == 0) {
-      const uint64_t pos =
-          static_cast<uint64_t>(::lseek(fd_, 0, SEEK_CUR));
-      if (pos < offsets_[current_]) {
-        static constexpr char kPad[8] = {0};
-        TRILIST_RETURN_NOT_OK(WriteRaw(kPad, offsets_[current_] - pos));
-      }
-    }
+    // Writing at the section's aligned offset leaves the padding before
+    // it as a gap, which reads back as zeros.
     const uint64_t room = plan_[current_].length - in_section_;
     const size_t take = static_cast<size_t>(
         std::min<uint64_t>(room, len));
-    TRILIST_RETURN_NOT_OK(WriteRaw(p, take));
+    TRILIST_RETURN_NOT_OK(
+        WriteAt(p, take, offsets_[current_] + in_section_));
     crcs_[current_] = Crc32Update(crcs_[current_], p, take);
     in_section_ += take;
-    payload_written_ += take;
     p += take;
     len -= take;
     if (in_section_ == plan_[current_].length) {
@@ -169,10 +141,10 @@ Status TlgStreamWriter::Finish() {
 
   // Directory first, header (with the magic) last: the file only
   // becomes recognizable once everything before it is in place.
-  TRILIST_RETURN_NOT_OK(WriteRawAt(table.data(),
-                                   table.size() * sizeof(SectionEntry),
-                                   sizeof(FileHeader)));
-  TRILIST_RETURN_NOT_OK(WriteRawAt(&header, sizeof(header), 0));
+  TRILIST_RETURN_NOT_OK(WriteAt(table.data(),
+                                table.size() * sizeof(SectionEntry),
+                                sizeof(FileHeader)));
+  TRILIST_RETURN_NOT_OK(WriteAt(&header, sizeof(header), 0));
   if (::fsync(fd_) != 0) {
     return Status::Internal("fsync failed: " + path_ + ": " +
                             std::strerror(errno));
@@ -201,8 +173,7 @@ TlgStreamWriter::TlgStreamWriter(TlgStreamWriter&& other) noexcept
       offsets_(std::move(other.offsets_)),
       current_(other.current_),
       in_section_(other.in_section_),
-      payload_written_(other.payload_written_),
-      file_bytes_(other.file_bytes_),
+      file_end_(other.file_end_),
       fail_after_bytes_(other.fail_after_bytes_),
       finished_(other.finished_) {}
 
@@ -219,8 +190,7 @@ TlgStreamWriter& TlgStreamWriter::operator=(
     offsets_ = std::move(other.offsets_);
     current_ = other.current_;
     in_section_ = other.in_section_;
-    payload_written_ = other.payload_written_;
-    file_bytes_ = other.file_bytes_;
+    file_end_ = other.file_end_;
     fail_after_bytes_ = other.fail_after_bytes_;
     finished_ = other.finished_;
   }

@@ -7,19 +7,20 @@
 #include "src/util/status.h"
 
 /// \file binfmt_stream.h
-/// Incremental `.tlg` writer for out-of-core conversion: sections are
-/// streamed through a small buffer instead of materialized in RAM, so a
-/// graph much larger than memory can be serialized while the producer
-/// (src/ooc/convert.h) holds only its merge buffers.
+/// The `.tlg` writer. Every container is written here: WriteTlgFile
+/// (src/graph/binfmt.h) appends in-memory spans, and the out-of-core
+/// converter (src/ooc/convert.h) streams sections it never holds in RAM
+/// whole, so a graph much larger than memory can be serialized while
+/// the producer holds only its merge buffers.
 ///
 /// The section directory is declared up front (types and exact byte
-/// lengths), payload bytes are appended strictly in directory order, and
-/// per-section CRCs are folded in on the fly. The header and directory
-/// are patched at Finish() — header last — so a file abandoned mid-write
-/// (crash, ENOSPC, kill -9) never carries the `.tlg` magic and can never
-/// load as a half-valid graph; a file truncated *after* Finish is caught
-/// by the loader's bounds and CRC checks. Output is byte-identical to
-/// WriteTlgFile for the same sections (both share binfmt_layout.h).
+/// lengths, from tlg::SectionPlan), payload bytes are appended strictly
+/// in directory order, and per-section CRCs are folded in on the fly.
+/// The directory and header are written at Finish() — header last — and
+/// the file is fsynced, so a file abandoned mid-write (crash, ENOSPC,
+/// kill -9) never carries the `.tlg` magic and can never load as a
+/// half-valid graph; a file truncated *after* Finish is caught by the
+/// loader's bounds and CRC checks.
 
 namespace trilist {
 
@@ -32,18 +33,19 @@ struct TlgStreamSectionPlan {
 
 /// Writer knobs.
 struct TlgStreamWriterOptions {
-  /// Fault injection for tests: when > 0, every write past this many
-  /// file bytes fails with an Internal status, simulating a full disk
-  /// mid-stream. 0 disables.
+  /// Fault injection for tests: when > 0, any write that would grow the
+  /// file past this many bytes fails with an Internal status, simulating
+  /// a full disk mid-stream. 0 disables.
   uint64_t debug_fail_after_bytes = 0;
 };
 
 /// \brief Streams one `.tlg` container to disk, section by section.
 class TlgStreamWriter {
  public:
-  /// Creates `path` (truncating) and reserves the header + directory
-  /// bytes. `plan` fixes the sections in file order; every section's
-  /// payload must subsequently be appended, exactly `length` bytes each.
+  /// Creates `path` (truncating) and lays the sections out after the
+  /// header and directory, which Finish() fills in. `plan` fixes the
+  /// sections in file order; every section's payload must subsequently
+  /// be appended, exactly `length` bytes each.
   static Result<TlgStreamWriter> Create(
       const std::string& path, uint64_t num_nodes, uint64_t num_edges,
       std::vector<TlgStreamSectionPlan> plan,
@@ -62,9 +64,6 @@ class TlgStreamWriter {
   /// planned total is an error.
   Status Append(const void* data, size_t len);
 
-  /// Payload bytes appended so far (excludes header/directory/padding).
-  uint64_t payload_written() const { return payload_written_; }
-
   /// Completes the file: requires every planned section to be fully
   /// appended, then writes the directory (with the accumulated CRCs)
   /// and finally the header. Idempotent close; the writer is unusable
@@ -72,8 +71,7 @@ class TlgStreamWriter {
   Status Finish();
 
  private:
-  Status WriteRaw(const void* data, size_t len);
-  Status WriteRawAt(const void* data, size_t len, uint64_t offset);
+  Status WriteAt(const void* data, size_t len, uint64_t offset);
   void CloseFd();
 
   int fd_ = -1;
@@ -85,8 +83,7 @@ class TlgStreamWriter {
   std::vector<uint64_t> offsets_;     // absolute section offsets
   size_t current_ = 0;                // section currently being filled
   uint64_t in_section_ = 0;           // bytes appended to current section
-  uint64_t payload_written_ = 0;
-  uint64_t file_bytes_ = 0;           // total bytes pushed through fd
+  uint64_t file_end_ = 0;             // size the writes so far imply
   uint64_t fail_after_bytes_ = 0;
   bool finished_ = false;
 };

@@ -478,20 +478,13 @@ Result<OocReport> OocConvertFile(const std::string& input_path,
 
   // ---- Stage 3: streamed .tlg write -------------------------------
   const auto t_write = steady_clock::now();
-  std::vector<TlgStreamSectionPlan> plan;
-  plan.push_back({tlg::kSecCsrOffsets, 0, (n + 1) * sizeof(uint64_t)});
-  plan.push_back({tlg::kSecCsrNeighbors, 0, 2 * m * sizeof(NodeId)});
-  if (options.write_degrees) {
-    plan.push_back({tlg::kSecDegrees, 0, n * sizeof(int64_t)});
-  }
-  for (size_t i = 0; i < options.orientations.size(); ++i) {
-    plan.push_back({tlg::kSecOrientation, static_cast<uint32_t>(i),
-                    tlg::OrientationSectionLength(n, m)});
-  }
   TlgStreamWriterOptions wopts;
   wopts.debug_fail_after_bytes = options.debug_fail_after_bytes;
-  auto writer_or =
-      TlgStreamWriter::Create(output_path, n, m, std::move(plan), wopts);
+  auto writer_or = TlgStreamWriter::Create(
+      output_path, n, m,
+      tlg::SectionPlan(n, m, options.write_degrees,
+                       options.orientations.size()),
+      wopts);
   if (!writer_or.ok()) return writer_or.status();
   TlgStreamWriter writer = std::move(writer_or).ValueOrDie();
 
@@ -558,9 +551,7 @@ Result<OocReport> OocConvertFile(const std::string& input_path,
           return in_sorter.Add(ls << 32 | ld);
         }));
 
-    const tlg::OrientHeader oh{
-        tlg::PermKindToCode(spec.kind), 0,
-        spec.kind == PermutationKind::kUniform ? spec.seed : 0, m};
+    const tlg::OrientHeader oh = tlg::MakeOrientHeader(spec, m);
     TRILIST_RETURN_NOT_OK(writer.Append(&oh, sizeof(oh)));
     {
       std::vector<NodeId> original_of(n);

@@ -97,6 +97,20 @@ TEST(BinfmtStreamTest, ShortWriteLeavesNoValidFile) {
   EXPECT_FALSE(TlgFile::Open(out_path).ok());
 }
 
+TEST(BinfmtStreamTest, FaultBudgetCountsFileBytesNotRewrites) {
+  // The directory and header land over bytes reserved at Create, so a
+  // fault budget of exactly the final file size must not trip.
+  const Graph g = SampleGraph();
+  const std::string ref_path = TempPath("stream_ref5.tlg");
+  const std::string out_path = TempPath("stream_exact.tlg");
+  ASSERT_TRUE(WriteTlgFile(g, ref_path).ok());
+  TlgStreamWriterOptions options;
+  options.debug_fail_after_bytes = Slurp(ref_path).size();
+  const Status st = StreamCopy(ref_path, out_path, options);
+  ASSERT_TRUE(st.ok()) << st.ToString();
+  EXPECT_EQ(Slurp(ref_path), Slurp(out_path));
+}
+
 TEST(BinfmtStreamTest, AbandonedWriterLeavesNoValidFile) {
   const std::string out_path = TempPath("stream_abandon.tlg");
   {

@@ -140,6 +140,25 @@ TEST(TlgRoundTripTest, ReadFallbackMatchesMmap) {
   std::remove(path.c_str());
 }
 
+// A fixed oracle for the on-disk layout: every writer shares one section
+// plan, so writer-vs-writer byte identity cannot catch a layout drift.
+// Values taken from `trilist_cli convert --orders D,U --seed 7` on this
+// edge list before the writers were merged.
+TEST(TlgGoldenTest, K4PlusPathBytesArePinned) {
+  auto g = Graph::FromEdges(
+      6, {{0, 1}, {0, 2}, {0, 3}, {1, 2}, {1, 3}, {2, 3}, {3, 4}, {4, 5}});
+  ASSERT_TRUE(g.ok());
+  const std::string path = TempPath("golden.tlg");
+  TlgWriteOptions wopts;
+  wopts.orientations = {OrientSpec{PermutationKind::kDescending, 0},
+                        OrientSpec{PermutationKind::kUniform, 7}};
+  ASSERT_TRUE(WriteTlgFile(*g, path, wopts).ok());
+  const std::vector<unsigned char> bytes = Slurp(path);
+  EXPECT_EQ(bytes.size(), 816u);
+  EXPECT_EQ(Crc32Update(0, bytes.data(), bytes.size()), 0x41fb10d8u);
+  std::remove(path.c_str());
+}
+
 TEST(TlgOrientationCacheTest, BitIdenticalToFreshPipeline) {
   const Graph g = SampleGraph();
   const std::string path = TempPath("orient.tlg");

@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "src/cost/cost_model.h"
-#include "src/dyn/compact.h"
 #include "src/dyn/dyn_graph.h"
 #include "src/dyn/mutation_log.h"
 #include "src/dyn/overlay.h"
@@ -329,7 +328,7 @@ TEST(DynGraphTest, CompactionPreservesCountsAndClearsOverlay) {
 // ---------------------------------------------------------------------------
 // Compaction container bit-identity
 
-TEST(CompactTest, StreamedContainerIsBitIdenticalToWriteTlgFile) {
+TEST(CompactTest, MaterializedContainerIsBitIdenticalToFreshConvert) {
   DynGraph dyn = DynGraph::FromBase(K4PlusPath());
   ASSERT_TRUE(
       dyn.Apply(std::vector<EdgeMutation>{{3, 5, true}, {2, 3, false}}).ok());
@@ -339,17 +338,15 @@ TEST(CompactTest, StreamedContainerIsBitIdenticalToWriteTlgFile) {
       OrientSpec{PermutationKind::kDescending, 0},
       OrientSpec{PermutationKind::kUniform, 7}};
 
+  TlgWriteOptions wopts;
+  wopts.orientations = specs;
   const std::string compacted = TempPath("compact.tlg");
-  CompactOptions copts;
-  copts.orientations = specs;
-  ASSERT_TRUE(CompactToTlg(merged, compacted, copts).ok());
+  ASSERT_TRUE(WriteTlgFile(merged, compacted, wopts).ok());
 
-  // Fresh convert of the same edge list through the in-memory writer.
+  // Fresh convert of the same edge list, sharing no in-memory state.
   auto fresh_graph = Graph::FromEdges(merged.num_nodes(), merged.EdgeList());
   ASSERT_TRUE(fresh_graph.ok());
   const std::string fresh = TempPath("fresh.tlg");
-  TlgWriteOptions wopts;
-  wopts.orientations = specs;
   ASSERT_TRUE(WriteTlgFile(fresh_graph.ValueOrDie(), fresh, wopts).ok());
 
   const auto read_all = [](const std::string& path) {

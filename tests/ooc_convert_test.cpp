@@ -104,7 +104,8 @@ TEST(OocConvertTest, ByteIdenticalToInMemoryPipeline) {
       {PermutationKind::kAscending, 0},
       {PermutationKind::kRoundRobin, 0},
       {PermutationKind::kComplementaryRoundRobin, 0},
-      {PermutationKind::kUniform, 77}};
+      {PermutationKind::kUniform, 77},
+      {PermutationKind::kSplit, 0}};
 
   const std::string mem_path = TempPath("ooc_mem.tlg");
   auto ingested = IngestEdgeListFile(text);

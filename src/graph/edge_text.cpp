@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <charconv>
 #include <cstring>
+#include <iterator>
 
 namespace trilist {
 
@@ -45,7 +46,7 @@ void ParseEdgeTextChunk(const char* begin, const char* end,
         s += 5;
         while (s < line_end && IsSep(*s)) ++s;
         uint64_t n = 0;
-        if (ParseField(s, line_end, &n) != nullptr) {
+        if (!r->has_header && ParseField(s, line_end, &n) != nullptr) {
           r->has_header = true;
           r->header_nodes = n;
         }
@@ -81,6 +82,69 @@ void ParseEdgeTextChunk(const char* begin, const char* end,
     if (nl == nullptr) break;
     p = nl + 1;
   }
+}
+
+Status EdgeTextTotals::Add(const EdgeTextChunk& chunk) {
+  if (chunk.has_error) {
+    return Status::InvalidArgument(
+        "malformed edge at line " +
+        std::to_string(stats.lines + chunk.error_line) + ": '" +
+        chunk.error_text + "'");
+  }
+  stats.lines += chunk.lines;
+  stats.comment_lines += chunk.comment_lines;
+  stats.blank_lines += chunk.blank_lines;
+  stats.edges_in += chunk.edges_in;
+  stats.self_loops_dropped += chunk.self_loops;
+  stats.max_input_id = std::max(stats.max_input_id, chunk.max_id);
+  if (chunk.has_header && !has_header) {
+    has_header = true;
+    header_nodes = chunk.header_nodes;
+  }
+  return Status::OK();
+}
+
+Status EdgeTextStream::Feed(std::span<const char> block,
+                            const ChunkFn& consume) {
+  const char* begin = block.data();
+  const char* end = begin + block.size();
+  const auto last_nl = std::find(std::make_reverse_iterator(end),
+                                 std::make_reverse_iterator(begin), '\n');
+  if (last_nl.base() == begin) {
+    carry_.append(begin, end);
+    return Status::OK();
+  }
+  const char* lines_end = last_nl.base();  // one past the last newline
+  if (!carry_.empty()) {
+    // Complete the carried line and parse it on its own.
+    const char* first_end =
+        static_cast<const char*>(std::memchr(begin, '\n', block.size())) + 1;
+    carry_.append(begin, first_end);
+    TRILIST_RETURN_NOT_OK(
+        Parse(carry_.data(), carry_.data() + carry_.size(), consume));
+    begin = first_end;
+  }
+  if (begin < lines_end) {
+    TRILIST_RETURN_NOT_OK(Parse(begin, lines_end, consume));
+  }
+  carry_.assign(lines_end, end);
+  return Status::OK();
+}
+
+Status EdgeTextStream::Finish(const ChunkFn& consume) {
+  if (carry_.empty()) return Status::OK();
+  const Status status =
+      Parse(carry_.data(), carry_.data() + carry_.size(), consume);
+  carry_.clear();
+  return status;
+}
+
+Status EdgeTextStream::Parse(const char* begin, const char* end,
+                             const ChunkFn& consume) {
+  chunk_.Clear();
+  ParseEdgeTextChunk(begin, end, &chunk_);
+  TRILIST_RETURN_NOT_OK(totals_.Add(chunk_));
+  return consume(chunk_);
 }
 
 }  // namespace trilist

@@ -1,21 +1,33 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "src/graph/io.h"
+#include "src/util/status.h"
+
 /// \file edge_text.h
-/// The tolerant edge-list chunk parser shared by the in-memory ingester
-/// (src/graph/ingest.cpp) and the out-of-core conversion pipeline
-/// (src/ooc/convert.cpp). Both feed newline-aligned byte ranges through
-/// ParseEdgeTextChunk and compose the per-chunk tallies in input order,
-/// so the two paths agree line for line on what a dataset contains —
-/// same accepted records, same dropped self-loops, same error lines.
+/// The edge-list text dialect and its one parser, shared by every text
+/// front door: the strict reader (ReadEdgeList, src/graph/io.cpp), the
+/// in-memory ingester (src/graph/ingest.cpp) and the out-of-core
+/// conversion pipeline (src/ooc/convert.cpp). Each feeds newline-aligned
+/// byte ranges through ParseEdgeTextChunk and folds the per-chunk
+/// tallies in input order through EdgeTextTotals, so all three agree
+/// line for line on what a dataset contains — same records, same
+/// self-loops, same error lines. What to do with self-loops, duplicates,
+/// the 32-bit ID limit and the node count stays with each caller.
 ///
-/// Accepts what real dataset dumps contain: '#'/'%' comments (including
-/// the "# nodes N" header), blank lines, CRLF endings, tab separators,
-/// and trailing columns (weights, timestamps) which are ignored.
+/// The dialect: one "u v" record per line, two unsigned decimal fields
+/// separated by spaces or tabs. Further columns (weights, timestamps)
+/// are ignored, but each field must end at whitespace or end of line,
+/// so "0 1x" is malformed. Lines whose first non-blank character is '#'
+/// or '%' are comments; the first "# nodes N" (or "% nodes N") header
+/// names the node count. Blank and whitespace-only lines are skipped,
+/// and a CR before the LF counts as whitespace.
 
 namespace trilist {
 
@@ -34,7 +46,7 @@ struct EdgeTextChunk {
   size_t self_loops = 0;
   uint64_t max_id = 0;
   bool has_header = false;
-  uint64_t header_nodes = 0;
+  uint64_t header_nodes = 0;  ///< N of the chunk's first header
   bool has_error = false;
   size_t error_line = 0;  ///< chunk-local, 1-based
   std::string error_text;
@@ -63,5 +75,42 @@ struct EdgeTextChunk {
 /// Stops at the first malformed record, reporting it via has_error.
 void ParseEdgeTextChunk(const char* begin, const char* end,
                         EdgeTextChunk* out);
+
+/// The running totals of one input, its chunks folded in input order.
+struct EdgeTextTotals {
+  /// Line and record tallies; `max_input_id` is the largest ID seen,
+  /// self-loops included. The output fields are the caller's to fill.
+  IngestStats stats;
+  bool has_header = false;
+  uint64_t header_nodes = 0;  ///< N of the input's first header
+
+  /// Folds in the next chunk. A chunk that stopped at a malformed record
+  /// is InvalidArgument naming its line number within the whole input.
+  Status Add(const EdgeTextChunk& chunk);
+};
+
+/// Parses an input that arrives in arbitrary blocks (stream reads, I/O
+/// queue slots). Each block is cut at its last newline; the partial
+/// line after it is carried over and completed by the next block.
+class EdgeTextStream {
+ public:
+  /// Receives each parsed chunk once it is folded into totals().
+  using ChunkFn = std::function<Status(const EdgeTextChunk&)>;
+
+  /// Parses every line `block` completes.
+  Status Feed(std::span<const char> block, const ChunkFn& consume);
+
+  /// Parses the carried last line of an input without a final newline.
+  Status Finish(const ChunkFn& consume);
+
+  const EdgeTextTotals& totals() const { return totals_; }
+
+ private:
+  Status Parse(const char* begin, const char* end, const ChunkFn& consume);
+
+  std::string carry_;
+  EdgeTextChunk chunk_;
+  EdgeTextTotals totals_;
+};
 
 }  // namespace trilist

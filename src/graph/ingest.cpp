@@ -13,16 +13,6 @@
 
 namespace trilist {
 
-namespace {
-
-// The chunk parser itself lives in src/graph/edge_text.h, shared with
-// the out-of-core conversion pipeline (src/ooc) so both front doors
-// accept exactly the same dialect.
-using RawEdge = RawEdgeRecord;
-using ChunkResult = EdgeTextChunk;
-
-}  // namespace
-
 Result<IngestedGraph> IngestEdgeList(std::string_view text,
                                      const IngestOptions& options) {
   const int threads = std::max(1, options.threads);
@@ -49,7 +39,7 @@ Result<IngestedGraph> IngestEdgeList(std::string_view text,
   bounds.push_back(size);
   const size_t num_chunks = bounds.size() - 1;
 
-  std::vector<ChunkResult> chunks(num_chunks);
+  std::vector<EdgeTextChunk> chunks(num_chunks);
   ParallelFor(threads, num_chunks, [&](size_t c) {
     obs::TraceSpan span("ingest_chunk");
     span.Arg("chunk", static_cast<int64_t>(c));
@@ -59,38 +49,21 @@ Result<IngestedGraph> IngestEdgeList(std::string_view text,
     span.Arg("edges", static_cast<int64_t>(chunks[c].records.size()));
   });
 
-  // Surface the earliest malformed line with its global line number
-  // (chunks before the failing one always parsed to completion).
-  IngestStats stats;
-  bool has_header = false;
-  uint64_t header_nodes = 0;
-  for (size_t c = 0; c < num_chunks; ++c) {
-    const ChunkResult& r = chunks[c];
-    if (r.has_error) {
-      return Status::InvalidArgument(
-          "malformed edge at line " + std::to_string(stats.lines +
-                                                     r.error_line) +
-          ": '" + r.error_text + "'");
-    }
-    stats.lines += r.lines;
-    stats.comment_lines += r.comment_lines;
-    stats.blank_lines += r.blank_lines;
-    stats.edges_in += r.edges_in;
-    stats.self_loops_dropped += r.self_loops;
-    stats.max_input_id = std::max(stats.max_input_id, r.max_id);
-    if (r.has_header && !has_header) {
-      has_header = true;
-      header_nodes = r.header_nodes;
-    }
+  // Fold in input order: the earliest malformed line surfaces with its
+  // global line number (chunks before it always parsed to completion).
+  EdgeTextTotals totals;
+  for (const EdgeTextChunk& r : chunks) {
+    TRILIST_RETURN_NOT_OK(totals.Add(r));
   }
+  IngestStats stats = totals.stats;
 
   // Concatenate the per-chunk records (chunk order keeps this
   // deterministic; the later sort makes order irrelevant anyway).
   size_t total_records = 0;
-  for (const ChunkResult& r : chunks) total_records += r.records.size();
-  std::vector<RawEdge> records;
+  for (const EdgeTextChunk& r : chunks) total_records += r.records.size();
+  std::vector<RawEdgeRecord> records;
   records.reserve(total_records);
-  for (ChunkResult& r : chunks) {
+  for (EdgeTextChunk& r : chunks) {
     records.insert(records.end(), r.records.begin(), r.records.end());
     r.records.clear();
     r.records.shrink_to_fit();
@@ -101,14 +74,14 @@ Result<IngestedGraph> IngestEdgeList(std::string_view text,
   // already form a prefix of the naturals, in which case the original
   // numbering (and any header-declared isolated nodes) is kept.
   size_t total_loop_ids = 0;
-  for (const ChunkResult& r : chunks) total_loop_ids += r.loop_ids.size();
+  for (const EdgeTextChunk& r : chunks) total_loop_ids += r.loop_ids.size();
   std::vector<uint64_t> ids;
   ids.reserve(records.size() * 2 + total_loop_ids);
-  for (const RawEdge& e : records) {
+  for (const RawEdgeRecord& e : records) {
     ids.push_back(e.first);
     ids.push_back(e.second);
   }
-  for (const ChunkResult& r : chunks) {
+  for (const EdgeTextChunk& r : chunks) {
     ids.insert(ids.end(), r.loop_ids.begin(), r.loop_ids.end());
   }
   std::sort(ids.begin(), ids.end());
@@ -120,7 +93,9 @@ Result<IngestedGraph> IngestEdgeList(std::string_view text,
   std::vector<Edge> edges(records.size());
   if (compact) {
     num_nodes = ids.empty() ? 0 : static_cast<size_t>(ids.back()) + 1;
-    if (has_header) num_nodes = std::max<size_t>(num_nodes, header_nodes);
+    if (totals.has_header) {
+      num_nodes = std::max<size_t>(num_nodes, totals.header_nodes);
+    }
     if (num_nodes >= std::numeric_limits<NodeId>::max()) {
       return Status::OutOfRange("graph too large for 32-bit node IDs: " +
                                 std::to_string(num_nodes) + " nodes");

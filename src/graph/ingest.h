@@ -17,7 +17,8 @@
 /// (weights, timestamps).
 ///
 /// The input is split at newline boundaries into chunks parsed in
-/// parallel (src/util/parallel_for.h) with std::from_chars; normalization
+/// parallel (src/util/parallel_for.h) by the shared dialect parser of
+/// src/graph/edge_text.h; normalization
 /// (compact relabeling of sparse IDs, canonicalization, deduplication,
 /// self-loop removal) is deterministic for every thread count, so the
 /// same input bytes always produce the same Graph — the property the
@@ -25,7 +26,7 @@
 /// self-loops still contribute their endpoint to the node universe, so a
 /// node incident only to self-loops survives as an isolated node.
 ///
-/// A "# nodes N" (or "% nodes N") header is honored when the input IDs
+/// The first "# nodes N" (or "% nodes N") header is honored when the input IDs
 /// are already compact within [0, N), preserving isolated nodes; sparse
 /// inputs are relabeled by ascending original ID and the header ignored.
 

@@ -1,34 +1,16 @@
 #include "src/graph/io.h"
 
-#include <algorithm>
+#include <filesystem>
 #include <fstream>
 #include <limits>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "src/graph/edge_text.h"
+
 namespace trilist {
-
-namespace {
-
-/// Trims trailing whitespace (space, tab, CR) in place — the tolerant
-/// mode's answer to CRLF files and padded columns.
-void TrimTrailing(std::string* line) {
-  while (!line->empty()) {
-    const char c = line->back();
-    if (c == '\r' || c == ' ' || c == '\t') {
-      line->pop_back();
-    } else {
-      break;
-    }
-  }
-}
-
-bool IsBlank(const std::string& line) {
-  return line.find_first_not_of(" \t\r") == std::string::npos;
-}
-
-}  // namespace
 
 std::string IngestStats::Summary() const {
   std::ostringstream out;
@@ -54,78 +36,49 @@ void WriteEdgeList(const Graph& g, std::ostream* out) {
   }
 }
 
-Result<Graph> ReadEdgeList(std::istream* in, EdgeListMode mode,
-                           IngestStats* stats) {
-  const bool tolerant = mode == EdgeListMode::kTolerant;
-  IngestStats local;
+Result<Graph> ReadEdgeList(std::istream* in) {
+  // Fixed blocks keep the text out of memory: only the edges accumulate.
+  constexpr size_t kBlockBytes = 1 << 20;
+  constexpr uint64_t kIdLimit = std::numeric_limits<NodeId>::max();
+  const auto block = std::make_unique_for_overwrite<char[]>(kBlockBytes);
   std::vector<Edge> edges;
-  size_t num_nodes = 0;
-  bool explicit_nodes = false;
-  std::string line;
-  size_t line_no = 0;
-  while (std::getline(*in, line)) {
-    ++line_no;
-    ++local.lines;
-    if (tolerant) TrimTrailing(&line);
-    if (line.empty() || (tolerant && IsBlank(line))) {
-      ++local.blank_lines;
-      continue;
+  const auto narrow = [&](const EdgeTextChunk& chunk) -> Status {
+    if (!chunk.loop_ids.empty()) {
+      return Status::InvalidArgument(
+          "self-loop not allowed in simple graph: node " +
+          std::to_string(chunk.loop_ids.front()));
     }
-    if (line[0] == '#' || line[0] == '%') {
-      ++local.comment_lines;
-      std::istringstream header(line.substr(1));
-      std::string word;
-      if (header >> word && word == "nodes") {
-        size_t n = 0;
-        if (header >> n) {
-          num_nodes = n;
-          explicit_nodes = true;
-        }
-      }
-      continue;
+    if (chunk.max_id >= kIdLimit) {
+      return Status::OutOfRange(
+          "graph too large for 32-bit node IDs: saw node " +
+          std::to_string(chunk.max_id));
     }
-    std::istringstream fields(line);
-    uint64_t u = 0;
-    uint64_t v = 0;
-    if (!(fields >> u >> v)) {
-      return Status::InvalidArgument("malformed edge at line " +
-                                     std::to_string(line_no) + ": '" +
-                                     line + "'");
+    for (const RawEdgeRecord& e : chunk.records) {
+      edges.emplace_back(static_cast<NodeId>(e.first),
+                         static_cast<NodeId>(e.second));
     }
-    ++local.edges_in;
-    local.max_input_id = std::max({local.max_input_id, u, v});
-    const uint64_t id_limit = std::numeric_limits<NodeId>::max();
-    if (u >= id_limit || v >= id_limit) {
-      return Status::OutOfRange("node ID too large at line " +
-                                std::to_string(line_no));
-    }
-    // The endpoint extends the implicit node count even when the record
-    // itself is a dropped self-loop, so `5 5` keeps node 5 as isolated.
-    if (!explicit_nodes) {
-      num_nodes = std::max({num_nodes, static_cast<size_t>(u) + 1,
-                            static_cast<size_t>(v) + 1});
-    }
-    if (tolerant && u == v) {
-      ++local.self_loops_dropped;
-      continue;
-    }
-    edges.emplace_back(static_cast<NodeId>(u), static_cast<NodeId>(v));
+    return Status::OK();
+  };
+  EdgeTextStream text;
+  do {
+    in->read(block.get(), kBlockBytes);
+    TRILIST_RETURN_NOT_OK(text.Feed(
+        {block.get(), static_cast<size_t>(in->gcount())}, narrow));
+  } while (*in);
+  if (in->bad()) return Status::Internal("edge-list stream read failed");
+  TRILIST_RETURN_NOT_OK(text.Finish(narrow));
+
+  const EdgeTextTotals& totals = text.totals();
+  uint64_t num_nodes = 0;
+  if (totals.has_header) {
+    num_nodes = totals.header_nodes;
+  } else if (totals.stats.edges_in > 0) {
+    num_nodes = totals.stats.max_input_id + 1;
   }
-  if (tolerant) {
-    // Canonicalize (min, max), then sort + unique to drop duplicates
-    // regardless of the direction they were written in.
-    for (Edge& e : edges) {
-      if (e.first > e.second) std::swap(e.first, e.second);
-    }
-    std::sort(edges.begin(), edges.end());
-    const auto last = std::unique(edges.begin(), edges.end());
-    local.duplicates_dropped =
-        static_cast<size_t>(edges.end() - last);
-    edges.erase(last, edges.end());
+  if (num_nodes >= kIdLimit) {
+    return Status::OutOfRange("graph too large for 32-bit node IDs: " +
+                              std::to_string(num_nodes) + " nodes");
   }
-  local.num_nodes = num_nodes;
-  local.num_edges = edges.size();
-  if (stats != nullptr) *stats = local;
   return Graph::FromEdges(num_nodes, edges);
 }
 
@@ -140,13 +93,16 @@ Status WriteEdgeListFile(const Graph& g, const std::string& path) {
   return Status::OK();
 }
 
-Result<Graph> ReadEdgeListFile(const std::string& path, EdgeListMode mode,
-                               IngestStats* stats) {
+Result<Graph> ReadEdgeListFile(const std::string& path) {
   std::ifstream in(path);
   if (!in) {
     return Status::InvalidArgument("cannot open for reading: " + path);
   }
-  return ReadEdgeList(&in, mode, stats);
+  std::error_code ec;
+  if (!std::filesystem::is_regular_file(path, ec)) {
+    return Status::InvalidArgument("not a regular file: " + path);
+  }
+  return ReadEdgeList(&in);
 }
 
 }  // namespace trilist

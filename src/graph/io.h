@@ -11,23 +11,18 @@
 /// Plain-text edge-list serialization, the lingua franca of graph datasets
 /// (SNAP, KONECT, the Twitter crawl of Section 7.5 all ship this way).
 ///
-/// Format: one "u v" pair per line, whitespace separated, 0-based IDs;
-/// lines starting with '#' or '%' are comments. The node count is
-/// max ID + 1 unless a "# nodes N" header is present.
-///
-/// Two parsing modes: kStrict (the default) enforces the library's
-/// simple-graph contract and is the round-trip inverse of WriteEdgeList;
-/// kTolerant accepts what real dataset dumps actually contain — duplicate
-/// edges (either direction), self-loops, CRLF line endings, tab
-/// separators, trailing whitespace — normalizing away the noise and
-/// reporting what it dropped. For large files prefer the chunked parallel
-/// ingester in src/graph/ingest.h, which additionally relabels sparse
-/// node IDs.
+/// The text dialect (comments, the "# nodes N" header, separators) is
+/// the one src/graph/edge_text.h defines for every text front door.
+/// ReadEdgeList is its strict reader: it enforces the library's
+/// simple-graph contract and is the round-trip inverse of WriteEdgeList.
+/// Real dataset dumps (duplicates, self-loops, sparse IDs) go through the
+/// tolerant ingester in src/graph/ingest.h instead.
 
 namespace trilist {
 
-/// What a tolerant parse / ingest run saw and did. All counters refer to
-/// the input; `num_nodes` / `num_edges` describe the normalized output.
+/// What an ingest or out-of-core convert run saw and did. All counters
+/// refer to the input; `num_nodes` / `num_edges` describe the normalized
+/// output.
 struct IngestStats {
   size_t lines = 0;               ///< Total input lines.
   size_t comment_lines = 0;       ///< '#'/'%' lines (headers included).
@@ -44,31 +39,19 @@ struct IngestStats {
   std::string Summary() const;
 };
 
-/// Parsing strictness of ReadEdgeList.
-enum class EdgeListMode {
-  kStrict,    ///< Reject self-loops and duplicates (simple-graph contract).
-  kTolerant,  ///< Drop self-loops/duplicates, accept CRLF/tabs/whitespace.
-};
-
 /// Writes `g` as an edge list with a "# nodes N" header. Each undirected
 /// edge appears once as "u v" with u < v.
 void WriteEdgeList(const Graph& g, std::ostream* out);
 
-/// Parses an edge list. In kStrict mode self-loops and duplicate edges
-/// are rejected (InvalidArgument), matching the library's simple-graph
-/// contract; in kTolerant mode they are dropped and tallied in `stats`
-/// (which may be null). A dropped self-loop's endpoint still counts
-/// toward the implicit node count, so a node whose only incident records
-/// are self-loops is kept as an isolated node. Malformed lines are
-/// errors in both modes.
-Result<Graph> ReadEdgeList(std::istream* in,
-                           EdgeListMode mode = EdgeListMode::kStrict,
-                           IngestStats* stats = nullptr);
+/// Parses an edge list. Malformed lines, self-loops and duplicate edges
+/// (either direction) are InvalidArgument, an ID at or above 2^32 - 1 is
+/// OutOfRange and a stream read error is Internal. The node count is the
+/// first header's N, else max ID + 1; with a header, an ID >= N is an
+/// error.
+Result<Graph> ReadEdgeList(std::istream* in);
 
-/// Convenience file wrappers.
+/// Convenience file wrappers. Reading requires a regular file.
 Status WriteEdgeListFile(const Graph& g, const std::string& path);
-Result<Graph> ReadEdgeListFile(const std::string& path,
-                               EdgeListMode mode = EdgeListMode::kStrict,
-                               IngestStats* stats = nullptr);
+Result<Graph> ReadEdgeListFile(const std::string& path);
 
 }  // namespace trilist

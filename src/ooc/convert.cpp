@@ -351,98 +351,37 @@ Result<OocReport> OocConvertFile(const std::string& input_path,
 
   constexpr uint64_t kMaxRawId =
       std::numeric_limits<NodeId>::max() - 1;  // n = id + 1 must fit
-  IngestStats stats;
-  bool has_header = false;
-  uint64_t header_nodes = 0;
-  bool any_id = false;
-  uint64_t max_id = 0;
-  std::string carry;  // partial final line of the previous chunk
-  EdgeTextChunk parsed;
-
-  const auto consume_parsed = [&]() -> Status {
-    if (parsed.has_error) {
-      return Status::InvalidArgument(
-          "malformed edge at line " +
-          std::to_string(stats.lines + parsed.error_line) + ": '" +
-          parsed.error_text + "'");
+  const auto spill = [&](const EdgeTextChunk& parsed) -> Status {
+    if (parsed.max_id > kMaxRawId) {
+      return Status::OutOfRange(
+          "graph too large for 32-bit node IDs: saw node " +
+          std::to_string(parsed.max_id));
     }
     for (const RawEdgeRecord& e : parsed.records) {
-      if (e.first > kMaxRawId || e.second > kMaxRawId) {
-        return Status::OutOfRange(
-            "graph too large for 32-bit node IDs: saw node " +
-            std::to_string(std::max(e.first, e.second)));
-      }
       TRILIST_RETURN_NOT_OK(
           edge_sorter.Add(e.first << 32 | e.second));
       TRILIST_RETURN_NOT_OK(
           edge_sorter.Add(e.second << 32 | e.first));
     }
-    stats.lines += parsed.lines;
-    stats.comment_lines += parsed.comment_lines;
-    stats.blank_lines += parsed.blank_lines;
-    stats.edges_in += parsed.edges_in;
-    stats.self_loops_dropped += parsed.self_loops;
-    if (parsed.edges_in > 0 || !parsed.loop_ids.empty()) any_id = true;
-    max_id = std::max(max_id, parsed.max_id);
-    if (parsed.has_header && !has_header) {
-      has_header = true;
-      header_nodes = parsed.header_nodes;
-    }
-    parsed.Clear();
     return Status::OK();
   };
-
+  EdgeTextStream text;
   for (;;) {
     auto chunk_or = reader->Next();
     if (!chunk_or.ok()) return chunk_or.status();
     const std::span<const char> chunk = chunk_or.ValueOrDie();
     if (chunk.empty()) break;
-    // Split the chunk at its last newline: everything before it parses
-    // now (prefixed by the carried partial line), the tail carries over.
-    const char* begin = chunk.data();
-    const char* end = begin + chunk.size();
-    const char* last_nl = nullptr;
-    for (const char* p = end; p > begin;) {
-      --p;
-      if (*p == '\n') {
-        last_nl = p;
-        break;
-      }
-    }
-    if (last_nl == nullptr) {
-      carry.append(begin, end);
-      continue;
-    }
-    if (!carry.empty()) {
-      // Complete the carried line and parse it on its own.
-      const char* first_nl =
-          static_cast<const char*>(std::memchr(begin, '\n', chunk.size()));
-      carry.append(begin, first_nl + 1);
-      ParseEdgeTextChunk(carry.data(), carry.data() + carry.size(),
-                         &parsed);
-      TRILIST_RETURN_NOT_OK(consume_parsed());
-      carry.clear();
-      begin = first_nl + 1;
-    }
-    if (begin <= last_nl) {
-      ParseEdgeTextChunk(begin, last_nl + 1, &parsed);
-      TRILIST_RETURN_NOT_OK(consume_parsed());
-    }
-    carry.assign(last_nl + 1, end);
+    TRILIST_RETURN_NOT_OK(text.Feed(chunk, spill));
   }
-  if (!carry.empty()) {
-    ParseEdgeTextChunk(carry.data(), carry.data() + carry.size(),
-                       &parsed);
-    TRILIST_RETURN_NOT_OK(consume_parsed());
-    carry.clear();
-  }
-  stats.max_input_id = max_id;
+  TRILIST_RETURN_NOT_OK(text.Finish(spill));
+  const EdgeTextTotals& totals = text.totals();
+  IngestStats stats = totals.stats;
   report.direct_io = reader->stats().direct_io;
   reader.reset();  // parsing is done; return the ring to the budget
   report.parse_seconds = SecondsSince(t_start);
 
-  uint64_t n = any_id ? max_id + 1 : 0;
-  if (has_header) n = std::max(n, header_nodes);
+  uint64_t n = stats.edges_in > 0 ? stats.max_input_id + 1 : 0;
+  if (totals.has_header) n = std::max(n, totals.header_nodes);
   if (n >= std::numeric_limits<NodeId>::max()) {
     return Status::OutOfRange("graph too large for 32-bit node IDs: " +
                               std::to_string(n) + " nodes");

@@ -3,7 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <ios>
 #include <sstream>
+#include <streambuf>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "src/algo/brute_force.h"
 #include "src/gen/erdos_renyi.h"
@@ -12,6 +17,46 @@
 
 namespace trilist {
 namespace {
+
+/// Path edges "i i+1" up to the reader's 1 MiB block boundary, then
+/// `line` placed to straddle it, then a few more path edges. Sets
+/// `line_no` to the 1-based line number of `line`.
+std::string TextStraddlingBlock(const std::string& line, size_t* line_no) {
+  constexpr size_t kBlock = 1 << 20;
+  std::string text = "# nodes 200000\n";
+  size_t lines = 1;
+  size_t i = 10;
+  while (text.size() + 16 < kBlock - line.size() / 2) {
+    text += std::to_string(i) + " " + std::to_string(i + 1) + "\n";
+    ++lines;
+    ++i;
+  }
+  // A comment pads the text so `line` starts mid-way before the boundary.
+  text += "#" + std::string(kBlock - line.size() / 2 - text.size() - 2, '.') +
+          "\n";
+  text += line;
+  *line_no = lines + 2;
+  for (size_t k = 0; k < 3; ++k, ++i) {
+    text += std::to_string(i) + " " + std::to_string(i + 1) + "\n";
+  }
+  return text;
+}
+
+/// Serves `text`, then fails the way a disk read error does.
+class FailingBuf : public std::streambuf {
+ public:
+  explicit FailingBuf(std::string text) : text_(std::move(text)) {
+    setg(text_.data(), text_.data(), text_.data() + text_.size());
+  }
+
+ protected:
+  int_type underflow() override {
+    throw std::ios_base::failure("read error");
+  }
+
+ private:
+  std::string text_;
+};
 
 TEST(EdgeListIoTest, RoundTripsSmallGraph) {
   const Graph g = MakeBowTie(4);
@@ -42,6 +87,11 @@ TEST(EdgeListIoTest, PreservesIsolatedNodesViaHeader) {
   auto r = ReadEdgeList(&buf);
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r->num_nodes(), 5u);
+  // The header is binding: an ID at or past N is an error, not growth.
+  for (const char* bad : {"# nodes 3\n0 3\n", "0 5\n# nodes 3\n"}) {
+    std::stringstream past(bad);
+    EXPECT_FALSE(ReadEdgeList(&past).ok()) << bad;
+  }
 }
 
 TEST(EdgeListIoTest, InfersNodeCountWithoutHeader) {
@@ -50,6 +100,14 @@ TEST(EdgeListIoTest, InfersNodeCountWithoutHeader) {
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r->num_nodes(), 6u);
   EXPECT_TRUE(r->HasEdge(5, 2));
+  // IDs must fit NodeId with n = max ID + 1 still representable.
+  for (const char* big : {"0 4294967295\n", "0 4294967294\n",
+                          "# nodes 4294967295\n0 1\n"}) {
+    std::stringstream huge(big);
+    auto h = ReadEdgeList(&huge);
+    ASSERT_FALSE(h.ok()) << big;
+    EXPECT_EQ(h.status().code(), StatusCode::kOutOfRange) << big;
+  }
 }
 
 TEST(EdgeListIoTest, SkipsCommentsAndBlankLines) {
@@ -59,21 +117,52 @@ TEST(EdgeListIoTest, SkipsCommentsAndBlankLines) {
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r->num_nodes(), 10u);
   EXPECT_EQ(r->num_edges(), 2u);
+  // Whitespace-only lines, CRLF endings, tab separators, indented
+  // comments and trailing columns are the shared dialect; the first
+  // header wins.
+  std::stringstream messy(
+      "# nodes 10\r\n  \t\r\n0\t1\r\n1 2 0.5\n \t# nodes 4\n\r\n2\t 3 \n");
+  auto m = ReadEdgeList(&messy);
+  ASSERT_TRUE(m.ok()) << m.status().ToString();
+  EXPECT_EQ(m->num_nodes(), 10u);
+  EXPECT_EQ(m->EdgeList(), (std::vector<Edge>{{0, 1}, {1, 2}, {2, 3}}));
 }
 
 TEST(EdgeListIoTest, RejectsMalformedLine) {
-  std::stringstream buf("0 1\nnot numbers\n");
-  auto r = ReadEdgeList(&buf);
-  EXPECT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(r.status().message().find("line 2"), std::string::npos);
+  // A field must end at whitespace: "0 1x" is not the edge (0, 1).
+  for (const char* bad : {"0 1\nnot numbers\n", "0 1\n0 1x\n",
+                          "0 1\n0\n", "0 1\n-1 2\n", "0 1\n0 1x"}) {
+    std::stringstream buf(bad);
+    auto r = ReadEdgeList(&buf);
+    ASSERT_FALSE(r.ok()) << bad;
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument) << bad;
+    EXPECT_NE(r.status().message().find("line 2"), std::string::npos)
+        << r.status().ToString();
+  }
+  // The reader parses 1 MiB blocks; a line cut by a block boundary is
+  // parsed whole, and a malformed one reports its line in the input.
+  size_t line_no = 0;
+  std::stringstream good(TextStraddlingBlock("7 0\n", &line_no));
+  auto ok = ReadEdgeList(&good);
+  ASSERT_TRUE(ok.ok()) << ok.status().ToString();
+  EXPECT_TRUE(ok->HasEdge(7, 0));
+  std::stringstream bad(TextStraddlingBlock("7 12abc\n", &line_no));
+  auto r = ReadEdgeList(&bad);
+  ASSERT_FALSE(r.ok());
+  EXPECT_NE(r.status().message().find("line " + std::to_string(line_no) +
+                                      ":"),
+            std::string::npos)
+      << r.status().ToString();
 }
 
 TEST(EdgeListIoTest, RejectsSelfLoopAndDuplicate) {
-  std::stringstream loop("1 1\n");
-  EXPECT_FALSE(ReadEdgeList(&loop).ok());
-  std::stringstream dup("0 1\n1 0\n");
-  EXPECT_FALSE(ReadEdgeList(&dup).ok());
+  for (const char* bad : {"1 1\n", "0 1\n1 0\n", "0 1\r\n2\t2\r\n",
+                          "0 1\n0\t1 7\n"}) {
+    std::stringstream buf(bad);
+    auto r = ReadEdgeList(&buf);
+    ASSERT_FALSE(r.ok()) << bad;
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument) << bad;
+  }
 }
 
 TEST(EdgeListIoTest, EmptyInputIsEmptyGraph) {
@@ -98,64 +187,18 @@ TEST(EdgeListIoTest, MissingFileErrors) {
   EXPECT_FALSE(r.ok());
 }
 
-TEST(EdgeListIoTest, TolerantModeDropsLoopsAndDuplicates) {
-  std::stringstream buf("0 0\n0 1\n1 0\n0 1\n1 2\n");
-  IngestStats stats;
-  auto r = ReadEdgeList(&buf, EdgeListMode::kTolerant, &stats);
-  ASSERT_TRUE(r.ok()) << r.status().ToString();
-  EXPECT_EQ(r->num_edges(), 2u);
-  EXPECT_EQ(stats.self_loops_dropped, 1u);
-  EXPECT_EQ(stats.duplicates_dropped, 2u);
-  EXPECT_EQ(stats.edges_in, 5u);
-  EXPECT_EQ(stats.num_edges, 2u);
-  EXPECT_FALSE(stats.Summary().empty());
-}
-
-TEST(EdgeListIoTest, TolerantModeKeepsSelfLoopOnlyNodeAsIsolated) {
-  // Node 5's only incident record is a self-loop; dropping the loop must
-  // not shrink the implicit node count, so nodes 0..5 all exist and 5 is
-  // isolated.
-  std::stringstream buf("0 1\n5 5\n");
-  IngestStats stats;
-  auto r = ReadEdgeList(&buf, EdgeListMode::kTolerant, &stats);
-  ASSERT_TRUE(r.ok()) << r.status().ToString();
-  EXPECT_EQ(r->num_nodes(), 6u);
-  EXPECT_EQ(r->num_edges(), 1u);
-  EXPECT_EQ(r->Degree(5), 0);
-  EXPECT_EQ(stats.self_loops_dropped, 1u);
-}
-
-TEST(EdgeListIoTest, TolerantModeAcceptsCrlfTabsAndTrailingWhitespace) {
-  std::stringstream buf("0\t1\r\n1 2 \t\r\n   \r\n2 3\n");
-  IngestStats stats;
-  auto r = ReadEdgeList(&buf, EdgeListMode::kTolerant, &stats);
-  ASSERT_TRUE(r.ok()) << r.status().ToString();
-  EXPECT_EQ(r->num_edges(), 3u);
-  EXPECT_EQ(stats.blank_lines, 1u);
-}
-
-TEST(EdgeListIoTest, TolerantModeStillRejectsMalformedLines) {
-  std::stringstream buf("0 1\ngarbage here\n");
-  auto r = ReadEdgeList(&buf, EdgeListMode::kTolerant);
-  EXPECT_FALSE(r.ok());
-  EXPECT_NE(r.status().message().find("line 2"), std::string::npos);
-}
-
-TEST(EdgeListIoTest, TolerantModeMatchesStrictOnCleanInput) {
-  Rng rng(5);
-  const Graph g = GenerateGnp(300, 0.03, &rng);
-  std::stringstream strict_buf;
-  WriteEdgeList(g, &strict_buf);
-  std::stringstream tolerant_buf(strict_buf.str());
-  auto strict = ReadEdgeList(&strict_buf);
-  IngestStats stats;
-  auto tolerant =
-      ReadEdgeList(&tolerant_buf, EdgeListMode::kTolerant, &stats);
-  ASSERT_TRUE(strict.ok());
-  ASSERT_TRUE(tolerant.ok());
-  EXPECT_EQ(strict->EdgeList(), tolerant->EdgeList());
-  EXPECT_EQ(stats.self_loops_dropped, 0u);
-  EXPECT_EQ(stats.duplicates_dropped, 0u);
+TEST(EdgeListIoTest, RejectsDirectoryAndReadError) {
+  auto dir = ReadEdgeListFile(::testing::TempDir());
+  ASSERT_FALSE(dir.ok());
+  EXPECT_NE(dir.status().message().find("not a regular file"),
+            std::string::npos)
+      << dir.status().ToString();
+  // A stream that fails mid-read is an error, not the edges before it.
+  FailingBuf buf("0 1\n1 2\n");
+  std::istream in(&buf);
+  auto r = ReadEdgeList(&in);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kInternal);
 }
 
 TEST(BitsetOracleTest, AgreesWithOtherOracles) {

@@ -92,17 +92,15 @@ Status WriteTlgFile(const Graph& g, const std::string& path,
                              : g.RawOffsets();
   Result<TlgStreamWriter> writer = TlgStreamWriter::Create(
       path, n, m,
-      SectionPlan(n, m, options.write_degrees, options.orientations.size()));
+      SectionPlan(n, m, options.orientations.size()));
   if (!writer.ok()) return writer.status();
   TlgStreamWriter& w = writer.ValueOrDie();
   TRILIST_RETURN_NOT_OK(w.Append(offsets.data(), offsets.size_bytes()));
   TRILIST_RETURN_NOT_OK(w.Append(g.RawNeighbors().data(),
                                  g.RawNeighbors().size_bytes()));
-  if (options.write_degrees) {
-    const std::vector<int64_t> degrees = g.Degrees();
-    TRILIST_RETURN_NOT_OK(
-        w.Append(degrees.data(), degrees.size() * sizeof(int64_t)));
-  }
+  const std::vector<int64_t> degrees = g.Degrees();
+  TRILIST_RETURN_NOT_OK(
+      w.Append(degrees.data(), degrees.size() * sizeof(int64_t)));
   // One orientation alive at a time; each build is deterministic for
   // any thread count, so `convert` output is reproducible byte for byte.
   for (const OrientSpec& spec : options.orientations) {
@@ -139,8 +137,6 @@ Result<TlgFile> TlgFile::Open(const std::string& path,
   // Paged opens demand-page: no readahead hint, and the payload checks
   // below are skipped (they would touch every byte of the file).
   const bool paged = options.paged;
-  const bool verify_crc = options.verify_crc && !paged;
-  const bool validate = options.validate && !paged;
   auto file = MmapFile::Open(path, options.backing,
                              paged ? MmapFile::Advice::kPaged
                                    : MmapFile::Advice::kEager);
@@ -179,12 +175,9 @@ Result<TlgFile> TlgFile::Open(const std::string& path,
   std::memcpy(table.data(), bytes.data() + sizeof(FileHeader),
               table_bytes);
   // The directory CRC is always cheap (32 B per section), so paged opens
-  // keep it; only the payload passes below are gated.
-  if (options.verify_crc) {
-    const uint32_t got = Crc32Update(0, table.data(), table_bytes);
-    if (got != header.table_crc) {
-      return CorruptError(path, "section table CRC mismatch");
-    }
+  // keep it; only the payload passes below are skipped.
+  if (Crc32Update(0, table.data(), table_bytes) != header.table_crc) {
+    return CorruptError(path, "section table CRC mismatch");
   }
 
   // Bounds-check every directory entry before touching any payload.
@@ -196,7 +189,7 @@ Result<TlgFile> TlgFile::Open(const std::string& path,
       return CorruptError(path, "section extends past end of file");
     }
   }
-  if (verify_crc) {
+  if (!paged) {
     // The sweep reads every payload byte; traced on its own so a run's
     // load stage splits into CRC and validation.
     obs::TraceSpan span("tlg.verify");
@@ -250,7 +243,7 @@ Result<TlgFile> TlgFile::Open(const std::string& path,
       TypedView<size_t>(bytes, sec_offsets->offset, n + 1);
   const auto neighbors =
       TypedView<NodeId>(bytes, sec_neighbors->offset, 2 * m);
-  if (validate) {
+  if (!paged) {
     TRILIST_RETURN_NOT_OK(
         ValidateCsr(offsets, neighbors, n, path, "graph"));
   }
@@ -263,7 +256,7 @@ Result<TlgFile> TlgFile::Open(const std::string& path,
         return CorruptError(path, "degrees length disagrees with header");
       }
       out.degrees_ = TypedView<int64_t>(bytes, e.offset, n);
-      if (validate) {
+      if (!paged) {
         for (uint64_t v = 0; v < n; ++v) {
           if (out.degrees_[v] !=
               static_cast<int64_t>(offsets[v + 1] - offsets[v])) {
@@ -300,7 +293,7 @@ Result<TlgFile> TlgFile::Open(const std::string& path,
       const auto in_neighbors = TypedView<NodeId>(bytes, at, m);
       at += m * sizeof(NodeId);
       const auto original_of = TypedView<NodeId>(bytes, at, n);
-      if (validate) {
+      if (!paged) {
         TRILIST_RETURN_NOT_OK(ValidateCsr(out_offsets, out_neighbors, n,
                                           path, "orientation out"));
         TRILIST_RETURN_NOT_OK(ValidateCsr(in_offsets, in_neighbors, n,

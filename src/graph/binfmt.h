@@ -53,8 +53,6 @@ struct TlgWriteOptions {
   /// Concurrency of the embedded orientation builds (result identical
   /// for any value; see OrientedGraph::FromLabels).
   int threads = 1;
-  /// Also embed the degree-sequence section (cheap, on by default).
-  bool write_degrees = true;
 };
 
 /// Serializes `g` (plus any requested cached orientations) to `path`.
@@ -65,17 +63,14 @@ Status WriteTlgFile(const Graph& g, const std::string& path,
 
 /// Options for TlgFile::Open.
 struct TlgLoadOptions {
-  bool verify_crc = true;  ///< Check every section CRC (one linear pass).
-  bool validate = true;    ///< Structural validation of offsets and IDs.
   MmapFile::Backing backing = MmapFile::Backing::kAuto;
   /// Lazily-paging open: map with MADV_RANDOM instead of eager
   /// readahead, verify only the header and section table (payload CRCs
   /// and deep CSR validation would fault every page of the file, which
   /// is exactly what this mode exists to avoid), and hand out views that
-  /// demand-page. Overrides verify_crc/validate for the payloads; the
-  /// header, directory bounds and table CRC are always checked. Use for
-  /// graphs much larger than RAM (src/ooc) or low-latency catalog
-  /// serving; the payload integrity check is deferred to first access.
+  /// demand-page. Use for graphs much larger than RAM (src/ooc) or
+  /// low-latency catalog serving; the payload integrity check is
+  /// deferred to first access.
   bool paged = false;
 };
 

@@ -113,16 +113,16 @@ inline OrientHeader MakeOrientHeader(const OrientSpec& spec, uint64_t m) {
 }
 
 /// The section directory of an (n, m) graph, in file order: CSR
-/// offsets, CSR neighbors, the optional degree sequence, then one
+/// offsets, CSR neighbors, the degree sequence, then one
 /// orientation per embedded spec (its slot index in `aux`). Every
 /// orientation holds exactly m arcs (the loader rejects any other
 /// count), so the plan depends on the counts alone.
 inline std::vector<TlgStreamSectionPlan> SectionPlan(
-    uint64_t n, uint64_t m, bool write_degrees, size_t num_orientations) {
+    uint64_t n, uint64_t m, size_t num_orientations) {
   std::vector<TlgStreamSectionPlan> plan;
   plan.push_back({kSecCsrOffsets, 0, (n + 1) * sizeof(uint64_t)});
   plan.push_back({kSecCsrNeighbors, 0, 2 * m * sizeof(uint32_t)});
-  if (write_degrees) plan.push_back({kSecDegrees, 0, n * sizeof(int64_t)});
+  plan.push_back({kSecDegrees, 0, n * sizeof(int64_t)});
   for (size_t i = 0; i < num_orientations; ++i) {
     plan.push_back({kSecOrientation, static_cast<uint32_t>(i),
                     OrientationSectionLength(n, m)});

@@ -421,8 +421,7 @@ Result<OocReport> OocConvertFile(const std::string& input_path,
   wopts.debug_fail_after_bytes = options.debug_fail_after_bytes;
   auto writer_or = TlgStreamWriter::Create(
       output_path, n, m,
-      tlg::SectionPlan(n, m, options.write_degrees,
-                       options.orientations.size()),
+      tlg::SectionPlan(n, m, options.orientations.size()),
       wopts);
   if (!writer_or.ok()) return writer_or.status();
   TlgStreamWriter writer = std::move(writer_or).ValueOrDie();
@@ -443,7 +442,7 @@ Result<OocReport> OocConvertFile(const std::string& input_path,
         return writer.Append(bytes.data(), bytes.size());
       }));
   // degrees: widened to the i64 the section stores.
-  if (options.write_degrees) {
+  {
     std::vector<int64_t> batch;
     batch.reserve(64 << 10);
     for (uint64_t v = 0; v < n; ++v) {

@@ -74,8 +74,6 @@ struct OocConvertOptions {
   bool direct_io = true;
   /// Orientations to embed; kDegenerate is rejected.
   std::vector<OrientSpec> orientations;
-  /// Emit the degrees section (CLI convert always does).
-  bool write_degrees = true;
   /// Test hook: pretend statvfs reported this many free bytes in
   /// `tmpdir` (0 = ask the filesystem).
   uint64_t free_bytes_override = 0;

@@ -12,6 +12,7 @@
 #include "src/graph/edge_set.h"
 #include "src/obs/degree_profile.h"
 #include "src/order/pipeline.h"
+#include "src/run/runner.h"
 #include "src/util/rng.h"
 
 /// \file intersect_backend_test.cpp
@@ -55,6 +56,16 @@ OrientedGraph MakeOriented(const std::string& kind, PermutationKind order) {
     g = std::move(b).Build().ValueOrDie();
   } else if (kind == "k12") {
     g = MakeComplete(12);
+  } else if (kind == "pareto_a1.3") {
+    // Hub-heavy power law: linear truncation keeps hubs of near-n
+    // degree beside degree-1 rows, the regime where gallop and bitmap
+    // routing part ways with merge.
+    GenerateSpec spec;
+    spec.n = 1500;
+    spec.alpha = 1.3;
+    spec.truncation = TruncationKind::kLinear;
+    spec.generator = GeneratorKind::kConfiguration;
+    g = GenerateGraph(spec, &rng).ValueOrDie();
   } else {
     ADD_FAILURE() << "unknown graph kind " << kind;
   }
@@ -89,7 +100,7 @@ bool SharesMergeCounterContract(IntersectBackend b) {
 
 TEST(IntersectBackendTest, SerialParityAcrossAllBackends) {
   for (const std::string kind :
-       {"gnp_dense", "gnp_sparse", "star_plus", "k12"}) {
+       {"gnp_dense", "gnp_sparse", "star_plus", "k12", "pareto_a1.3"}) {
     // min_degree 1 forces every row into the bitmap index, so the
     // word-AND path actually runs even on small test graphs.
     for (const int min_degree : {0, 1}) {
@@ -123,7 +134,7 @@ TEST(IntersectBackendTest, SerialParityAcrossAllBackends) {
 TEST(IntersectBackendTest, ParallelParityAcrossAllBackends) {
   // The parallel engine covers E1 and E4; chunks replay in serial order,
   // so emission must stay identical under every backend too.
-  for (const std::string kind : {"gnp_dense", "star_plus"}) {
+  for (const std::string kind : {"gnp_dense", "star_plus", "pareto_a1.3"}) {
     const OrientedGraph og = MakeOriented(kind, PermutationKind::kDescending);
     for (const Method m : {Method::kE1, Method::kE4}) {
       CollectingSink ref_sink;

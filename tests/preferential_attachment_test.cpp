@@ -5,7 +5,7 @@
 #include <algorithm>
 #include <cmath>
 
-#include "src/algo/local_counts.h"
+#include "src/algo/brute_force.h"
 #include "src/util/rng.h"
 
 namespace trilist {
@@ -60,9 +60,7 @@ TEST(PreferentialAttachmentTest, MoreClusteredThanUniformAttachment) {
   Rng rng(7);
   auto g = GeneratePreferentialAttachment(5000, 3, &rng);
   ASSERT_TRUE(g.ok());
-  const TriangleStats stats = ComputeTriangleStats(*g);
-  EXPECT_GT(stats.triangles, 0u);
-  EXPECT_GT(stats.transitivity, 0.0);
+  EXPECT_GT(CountTrianglesReference(*g), 0u);
 }
 
 TEST(PreferentialAttachmentTest, DeterministicGivenSeed) {

@@ -221,8 +221,9 @@ Status ListOnOriented(const OrientedGraph& oriented,
   std::optional<DirectedEdgeSet> arcs;
   if (needs_arcs) {
     report->stages.Time("arcs", [&] {
-      TRILIST_TRACE_SPAN("arcs");
+      obs::TraceSpan span("arcs");
       arcs.emplace(oriented);
+      span.Arg("bytes", static_cast<int64_t>(arcs->bytes()));
     });
   }
 

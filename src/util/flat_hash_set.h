@@ -8,16 +8,21 @@
 #include "src/util/status.h"
 
 /// \file flat_hash_set.h
-/// Open-addressing hash set of 64-bit keys, tuned for the edge-existence
-/// checks performed by vertex iterators and lookup edge iterators.
+/// Open-addressing hash set of 64-bit keys: the dedupe sets of the graph
+/// generators (packed (u,v) edge keys) and the hash-probe side of
+/// bench_table3_speed.
 ///
-/// Design notes (why not std::unordered_set): the hot loop of a vertex
-/// iterator performs one membership probe per candidate tuple, i.e. up to
-/// billions of probes per run. A power-of-two open-addressing table with
-/// linear probing keeps each probe to one cache line in the common case and
-/// avoids per-node allocation entirely. Keys are pre-mixed with the
-/// SplitMix64 finalizer, so adversarial clustering of packed (u,v) edge keys
-/// is not a concern.
+/// Design notes (why not std::unordered_set): a generator probes once per
+/// proposed edge. A power-of-two open-addressing table with linear probing
+/// keeps each probe to one cache line in the common case and avoids
+/// per-node allocation entirely. Keys are pre-mixed with the SplitMix64
+/// finalizer, so adversarial clustering of packed (u,v) edge keys is not a
+/// concern.
+///
+/// This set no longer backs the vertex iterators' arc checks: their probes
+/// keep the arc's source fixed, so DirectedEdgeSet (src/graph/edge_set.h)
+/// keeps one small table of 32-bit targets per source row instead of one
+/// whole-graph table of packed keys.
 
 namespace trilist {
 

@@ -4,6 +4,9 @@
 
 #include <algorithm>
 #include <numeric>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "src/gen/erdos_renyi.h"
 #include "src/graph/builder.h"
@@ -143,20 +146,131 @@ TEST(OrientedGraphTest, AscendingOrientationGivesHubFullOutDegree) {
   EXPECT_EQ(og.OutDegree(hub_label), 5);
 }
 
-TEST(DirectedEdgeSetTest, ContainsExactlyTheArcs) {
-  Rng rng(29);
-  const Graph g = GenerateGnp(80, 0.1, &rng);
-  const OrientedGraph og = OrientNamed(g, PermutationKind::kUniform, &rng);
+/// Checks Contains against a binary search of the sorted out-row for every
+/// (from, to) in [0, n)^2, plus targets past n and the empty marker, and
+/// the size and footprint bounds.
+void ExpectExactMembership(const OrientedGraph& og) {
   const DirectedEdgeSet arcs(og);
-  EXPECT_EQ(arcs.size(), og.num_arcs());
-  for (size_t i = 0; i < og.num_nodes(); ++i) {
+  const size_t n = og.num_nodes();
+  const size_t m = og.num_arcs();
+  EXPECT_EQ(arcs.size(), m);
+  EXPECT_GE(arcs.bytes(), 4 * 2 * m + 8 * (n + 1));
+  EXPECT_LE(arcs.bytes(), 4 * 4 * m + 8 * (n + 1));
+  size_t found = 0;
+  for (size_t i = 0; i < n; ++i) {
     const auto from = static_cast<NodeId>(i);
-    for (NodeId to : og.OutNeighbors(from)) {
-      EXPECT_TRUE(arcs.Contains(from, to));
-      EXPECT_FALSE(arcs.Contains(to, from));
+    const auto out = og.OutNeighbors(from);
+    for (size_t j = 0; j < n; ++j) {
+      const auto to = static_cast<NodeId>(j);
+      const bool want = std::binary_search(out.begin(), out.end(), to);
+      ASSERT_EQ(arcs.Contains(from, to), want) << from << " -> " << to;
+      found += want ? 1 : 0;
+    }
+    // Absent targets hash all over the row, so misses walk (and wrap)
+    // every probe chain.
+    for (size_t j = n; j < n + 2048; ++j) {
+      ASSERT_FALSE(arcs.Contains(from, static_cast<NodeId>(j)));
+    }
+    ASSERT_FALSE(arcs.Contains(from, DirectedEdgeSet::kEmpty));
+  }
+  EXPECT_EQ(found, m);
+}
+
+Graph Build(size_t n, const std::vector<Edge>& edges) {
+  Result<Graph> g = Graph::FromEdges(n, edges);
+  EXPECT_TRUE(g.ok());
+  return std::move(g).ValueOrDie();
+}
+
+/// Hub 0 joined to `hub_degree` random nodes of a sparse G(n, p)
+/// background, so the hub's row holds scattered labels that collide.
+Graph HubOnBackground(size_t n, size_t hub_degree, Rng* rng) {
+  const Graph bg = GenerateGnp(n, 4.0 / static_cast<double>(n), rng);
+  std::vector<Edge> edges;
+  std::vector<char> joined(n, 0);
+  for (size_t u = 1; u < n; ++u) {
+    for (NodeId v : bg.Neighbors(static_cast<NodeId>(u))) {
+      if (v == 0) joined[u] = 1;
+      if (v > u) edges.emplace_back(static_cast<NodeId>(u), v);
     }
   }
-  EXPECT_FALSE(arcs.Contains(0, 0));
+  size_t degree = std::count(joined.begin(), joined.end(), 1);
+  while (degree < hub_degree) {
+    const size_t u = 1 + rng->NextBounded(n - 1);
+    if (joined[u] == 0) {
+      joined[u] = 1;
+      ++degree;
+    }
+  }
+  for (size_t u = 1; u < n; ++u) {
+    if (joined[u] != 0) edges.emplace_back(0, static_cast<NodeId>(u));
+  }
+  return Build(n, edges);
+}
+
+TEST(DirectedEdgeSetTest, ContainsExactlyTheArcs) {
+  Rng rng(29);
+  std::vector<std::pair<const char*, Graph>> inputs;
+  inputs.emplace_back("n=0", MakeEmpty(0));
+  inputs.emplace_back("isolated", MakeEmpty(6));
+  inputs.emplace_back("isolated+edges", Build(12, {{1, 4}, {4, 7}, {7, 1},
+                                                   {9, 10}}));
+  inputs.emplace_back("path", MakePath(9));  // out-degree 1 rows
+  inputs.emplace_back("K5", MakeComplete(5));
+  inputs.emplace_back("gnp", GenerateGnp(80, 0.1, &rng));
+  inputs.emplace_back("star", MakeStar(1601));
+  inputs.emplace_back("hub", HubOnBackground(2500, 1500, &rng));
+  // Under theta_A the star's hub takes the last label and all 1,600 arcs.
+  ASSERT_EQ(OrientNamed(inputs[6].second, PermutationKind::kAscending)
+                .OutDegree(1600),
+            1600);
+  for (const auto& [name, g] : inputs) {
+    for (PermutationKind kind :
+         {PermutationKind::kDescending, PermutationKind::kAscending,
+          PermutationKind::kUniform}) {
+      SCOPED_TRACE(std::string(name) + " " + PermutationKindName(kind));
+      ExpectExactMembership(OrientNamed(g, kind, &rng));
+    }
+  }
+  // Identity labels on K4: the last row, 3, holds {0, 1, 2}.
+  const OrientedGraph k4 =
+      OrientedGraph::FromLabels(MakeComplete(4), {0, 1, 2, 3});
+  ASSERT_EQ(k4.OutDegree(3), 3);
+  ExpectExactMembership(k4);
+}
+
+TEST(DirectedEdgeSetTest, NextRowTargetsAreNotFoundInThisRow) {
+  // Identity labels: row 1 is empty, row 2 = {0}, row 3 = {1, 2},
+  // row 4 = {0, 3}. Rows sit back to back in one slot array.
+  const OrientedGraph og = OrientedGraph::FromLabels(
+      Build(5, {{2, 0}, {3, 1}, {3, 2}, {4, 0}, {4, 3}}), {0, 1, 2, 3, 4});
+  const DirectedEdgeSet arcs(og);
+  EXPECT_TRUE(arcs.Contains(2, 0));
+  EXPECT_FALSE(arcs.Contains(1, 0));  // empty row before a non-empty one
+  EXPECT_TRUE(arcs.Contains(3, 1));
+  EXPECT_FALSE(arcs.Contains(2, 1));
+  EXPECT_FALSE(arcs.Contains(2, 2));
+  EXPECT_TRUE(arcs.Contains(4, 3));
+  EXPECT_FALSE(arcs.Contains(3, 0));
+  EXPECT_FALSE(arcs.Contains(3, 3));
+  // The same on random graphs: a target of row v + 1 that row v lacks.
+  Rng rng(37);
+  const Graph g = GenerateGnp(200, 0.05, &rng);
+  for (PermutationKind kind :
+       {PermutationKind::kDescending, PermutationKind::kAscending,
+        PermutationKind::kUniform}) {
+    const OrientedGraph oriented = OrientNamed(g, kind, &rng);
+    const DirectedEdgeSet index(oriented);
+    for (size_t i = 0; i + 1 < oriented.num_nodes(); ++i) {
+      const auto v = static_cast<NodeId>(i);
+      const auto row = oriented.OutNeighbors(v);
+      for (NodeId t : oriented.OutNeighbors(v + 1)) {
+        if (std::binary_search(row.begin(), row.end(), t)) continue;
+        EXPECT_TRUE(index.Contains(v + 1, t));
+        EXPECT_FALSE(index.Contains(v, t)) << v << " -> " << t;
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -7,8 +7,10 @@
 
 #include "src/algo/registry.h"
 #include "src/graph/binfmt.h"
+#include "src/graph/edge_set.h"
 #include "src/graph/io.h"
 #include "src/obs/trace.h"
+#include "src/order/pipeline.h"
 #include "src/util/rng.h"
 #include "tests/expect_same_ops.h"
 
@@ -188,6 +190,40 @@ TEST(RunnerTest, TracedTlgRunHasAVerifySpan) {
   EXPECT_NE(json.find("\"name\": \"tlg.verify\""), std::string::npos);
 #else
   EXPECT_EQ(json.find("\"name\": \"tlg.verify\""), std::string::npos);
+#endif
+}
+
+// A traced vertex-iterator run records the arc index's footprint as arg
+// "bytes" of its "arcs" span, so a trace attributes the index's memory to
+// the stage that built it.
+TEST(RunnerTest, TracedArcsSpanRecordsIndexBytes) {
+  Rng rng(7);
+  auto graph = GenerateGraph(SmallPareto(), &rng);
+  ASSERT_TRUE(graph.ok());
+  const size_t bytes =
+      DirectedEdgeSet(OrientNamed(*graph, PermutationKind::kDescending))
+          .bytes();
+
+  RunSpec spec;
+  spec.source = GraphSource::FromGraph(*graph);
+  spec.methods = {Method::kT1};
+  obs::Tracer::Disable();
+  obs::Tracer::Clear();
+  obs::Tracer::Enable();
+  auto report = RunPipeline(spec);
+  obs::Tracer::Disable();
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  const std::string json = obs::Tracer::ToChromeJson();
+  obs::Tracer::Clear();
+#if TRILIST_TRACING
+  const size_t arcs = json.find("\"name\": \"arcs\"");
+  ASSERT_NE(arcs, std::string::npos);
+  const size_t end = json.find('}', json.find("\"args\"", arcs));
+  const std::string want = "\"bytes\": " + std::to_string(bytes);
+  EXPECT_NE(json.substr(arcs, end - arcs).find(want), std::string::npos)
+      << want << " not in " << json.substr(arcs, end - arcs);
+#else
+  EXPECT_EQ(json.find("\"name\": \"arcs\""), std::string::npos);
 #endif
 }
 

@@ -27,31 +27,58 @@
 /// sites inline the emission (devirtualized hot path). All kernels return
 /// the number of elementary comparisons performed. IntersectMergeT is the
 /// one counting two-pointer merge in the tree: the SEI DirectMerge policy,
-/// the SIMD duplicate-input fallback, the partitioned executors and the
-/// baselines all call it. (The SIMD block kernels' scalar tail keeps its
-/// own loop; intersect_simd.cpp says why.)
+/// the engine's short spans (intersect_engine.h), the SIMD duplicate-input
+/// fallback, the partitioned executors and the baselines all call it. (The
+/// SIMD block kernels' scalar tail keeps its own loop; intersect_simd.cpp
+/// says why.)
+///
+/// The merge step is branch-free: it compares a[i] with b[j] once and
+/// advances each cursor by a flag (i += a[i] <= b[j]; j += b[j] <= a[i]),
+/// so a random interleaving costs no mispredicted branch; only the emit
+/// stays conditional. A skewed interleaving (a hub row against a short
+/// row: long runs in which one cursor advances alone) would then pay a
+/// load-to-compare latency per element, which the three-way loop's
+/// well-predicted branch hid. So before each step the merge checks
+/// whether the next 8 elements of either list all lie below the other
+/// list's current element, and if so takes those 8 steps at once. Both
+/// are exactly the textbook three-way loop's steps on any sorted input,
+/// strict or not, so the comparison count (the paper's
+/// merge_comparisons), emission order and multiplicity are unchanged.
 
 namespace trilist {
 
-/// Two-pointer merge intersection of sorted ranges.
-/// \return comparisons performed (one per loop iteration).
+/// Two-pointer merge intersection of sorted ranges (branch-free steps
+/// and 8-step runs, see the file comment).
+/// \return comparisons performed (one per step of the three-way loop).
 template <typename Emit>
 int64_t IntersectMergeT(std::span<const NodeId> a, std::span<const NodeId> b,
                         Emit&& emit) {
   int64_t comparisons = 0;
   size_t i = 0;
   size_t j = 0;
-  while (i < a.size() && j < b.size()) {
-    ++comparisons;
-    if (a[i] < b[j]) {
-      ++i;
-    } else if (a[i] > b[j]) {
-      ++j;
-    } else {
-      emit(a[i]);
-      ++i;
-      ++j;
+  const size_t na = a.size();
+  const size_t nb = b.size();
+  while (i < na && j < nb) {
+    const NodeId x = a[i];
+    const NodeId y = b[j];
+    // A run: the next 8 elements of one list all lie below the other
+    // list's current one, so the next 8 steps each advance that cursor
+    // alone. Take them at once; the branch is predictable both on random
+    // interleavings (rarely taken) and on skewed ones (mostly taken).
+    if (i + 8 <= na && a[i + 7] < y) {
+      i += 8;
+      comparisons += 8;
+      continue;
     }
+    if (j + 8 <= nb && b[j + 7] < x) {
+      j += 8;
+      comparisons += 8;
+      continue;
+    }
+    ++comparisons;
+    if (x == y) emit(x);
+    i += x <= y;
+    j += y <= x;
   }
   return comparisons;
 }

@@ -51,7 +51,9 @@ class IntersectEngine {
   /// engine.
   explicit IntersectEngine(IntersectBackend backend,
                            const BitmapIndex* index = nullptr)
-      : backend_(backend), index_(index) {}
+      : backend_(backend),
+        index_(index),
+        block_width_(BlockWidth(ActiveSimdLevel())) {}
 
   IntersectBackend backend() const { return backend_; }
 
@@ -83,12 +85,17 @@ class IntersectEngine {
 
  private:
   /// Vectorized merge through the scratch buffer; returns the
-  /// scalar-equivalent comparison count.
+  /// scalar-equivalent comparison count. A shorter span below the active
+  /// level's block width (every span under kScalar) goes to the inline
+  /// IntersectMergeT instead: the block kernel would run no block on it,
+  /// only its scalar tail, so matches, order and count are the same, minus
+  /// the scratch buffer, the out-of-line ISA dispatch and the closed-form
+  /// count's binary search.
   template <typename Emit>
   int64_t BlockMerge(std::span<const NodeId> a, std::span<const NodeId> b,
                      Emit&& emit) {
-    if (a.empty() || b.empty()) return 0;
     const size_t cap = a.size() < b.size() ? a.size() : b.size();
+    if (cap < block_width_) return IntersectMergeT(a, b, emit);
     if (scratch_.size() < cap) scratch_.resize(cap);
     const size_t matches = BlockMergeIntersect(a, b, scratch_.data());
     for (size_t k = 0; k < matches; ++k) emit(scratch_[k]);
@@ -175,6 +182,7 @@ class IntersectEngine {
 
   IntersectBackend backend_;
   const BitmapIndex* index_;
+  size_t block_width_;  // BlockWidth of the level active at construction
   std::vector<NodeId> scratch_;
 };
 

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -46,6 +47,21 @@ size_t BlockMergeIntersect(std::span<const NodeId> a,
 /// the seam the differential tests drive to cross-check every kernel.
 size_t BlockMergeIntersectAt(SimdLevel level, std::span<const NodeId> a,
                              std::span<const NodeId> b, NodeId* out);
+
+/// Shortest span on which the block kernel at `level` runs a vector
+/// block: its register width, 16 lanes under AVX-512 and 8 under AVX2.
+/// kScalar has no vector block, so every span is shorter than its width.
+constexpr size_t BlockWidth(SimdLevel level) {
+  switch (level) {
+    case SimdLevel::kAvx512:
+      return 16;
+    case SimdLevel::kAvx2:
+      return 8;
+    case SimdLevel::kScalar:
+      break;
+  }
+  return SIZE_MAX;
+}
 
 /// Comparisons the scalar two-pointer merge performs on (a, b), given the
 /// number of common elements: iterations = i_end + j_end - matches, with

@@ -192,33 +192,23 @@ OrientedGraph OrientedGraph::FromLabels(const Graph& g,
   owned->out_neighbors.resize(owned->out_offsets[n]);
   owned->in_neighbors.resize(owned->in_offsets[n]);
 
-  // Fill pass.
+  // Fill pass, sources in ascending label order: label lw reaches each
+  // neighbour's row after every smaller label has, so every row is filled
+  // already sorted ascending and needs no sort pass.
   std::vector<size_t> out_cursor(owned->out_offsets.begin(),
                                  owned->out_offsets.end() - 1);
   std::vector<size_t> in_cursor(owned->in_offsets.begin(),
                                 owned->in_offsets.end() - 1);
-  for (size_t v = 0; v < n; ++v) {
-    const NodeId lv = labels[v];
-    for (NodeId w : g.Neighbors(static_cast<NodeId>(v))) {
-      const NodeId lw = labels[w];
+  for (size_t lw = 0; lw < n; ++lw) {
+    const NodeId w = owned->original_of[lw];
+    for (NodeId v : g.Neighbors(w)) {
+      const NodeId lv = labels[v];
       if (lw < lv) {
-        owned->out_neighbors[out_cursor[lv]++] = lw;
+        owned->out_neighbors[out_cursor[lv]++] = static_cast<NodeId>(lw);
       } else {
-        owned->in_neighbors[in_cursor[lv]++] = lw;
+        owned->in_neighbors[in_cursor[lv]++] = static_cast<NodeId>(lw);
       }
     }
-  }
-
-  // Sort each row ascending by label.
-  for (size_t i = 0; i < n; ++i) {
-    std::sort(owned->out_neighbors.begin() +
-                  static_cast<int64_t>(owned->out_offsets[i]),
-              owned->out_neighbors.begin() +
-                  static_cast<int64_t>(owned->out_offsets[i + 1]));
-    std::sort(owned->in_neighbors.begin() +
-                  static_cast<int64_t>(owned->in_offsets[i]),
-              owned->in_neighbors.begin() +
-                  static_cast<int64_t>(owned->in_offsets[i + 1]));
   }
   OrientedGraph out;
   out.out_offsets_ = owned->out_offsets;

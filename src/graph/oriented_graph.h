@@ -40,7 +40,9 @@ class OrientedGraph {
   ///        thread pool (see src/util/parallel_for.h). The result is
   ///        identical to the serial build for any thread count: fill order
   ///        within a row is nondeterministic but every row is sorted
-  ///        afterwards, and a row's content is a set.
+  ///        afterwards, and a row's content is a set. (The serial build
+  ///        fills from sources in ascending label order, so its rows come
+  ///        out sorted without a sort pass.)
   static OrientedGraph FromLabels(const Graph& g,
                                   const std::vector<NodeId>& labels,
                                   int threads = 1);

@@ -5,8 +5,10 @@
 #include <algorithm>
 #include <set>
 #include <span>
+#include <string>
 #include <vector>
 
+#include "src/algo/simd/intersect_engine.h"
 #include "src/algo/simd/intersect_simd.h"
 #include "src/util/cpu_features.h"
 #include "src/util/rng.h"
@@ -114,6 +116,64 @@ TEST(IntersectTest, RandomizedAgainstReference) {
     ASSERT_EQ(Matches(kMerge, a, b), expected) << trial;
     ASSERT_EQ(Matches(kGallop, a, b), expected) << trial;
     ASSERT_EQ(Matches(kAuto, a, b), expected) << trial;
+  }
+}
+
+/// The textbook three-way merge loop, kept here (not in src/) as the
+/// oracle IntersectMergeT's branch-free steps must reproduce: matches
+/// appended to *out, comparisons returned.
+int64_t ThreeWayMerge(std::span<const NodeId> a, std::span<const NodeId> b,
+                      std::vector<NodeId>* out) {
+  int64_t comparisons = 0;
+  size_t i = 0;
+  size_t j = 0;
+  while (i < a.size() && j < b.size()) {
+    ++comparisons;
+    if (a[i] < b[j]) {
+      ++i;
+    } else if (a[i] > b[j]) {
+      ++j;
+    } else {
+      out->push_back(a[i]);
+      ++i;
+      ++j;
+    }
+  }
+  return comparisons;
+}
+
+/// `len` sorted values drawn from [0, range); duplicates allowed.
+std::vector<NodeId> SortedSample(size_t len, uint64_t range, Rng* rng) {
+  std::vector<NodeId> v(len);
+  for (auto& x : v) x = static_cast<NodeId>(rng->NextBounded(range));
+  std::sort(v.begin(), v.end());
+  return v;
+}
+
+TEST(IntersectTest, MergeMatchesThreeWayOracle) {
+  // Non-strict inputs (a narrow value range forces duplicates), strict
+  // ones, empty lists, singletons and skewed pairs (200 against a few,
+  // whose long runs take the 8-step path): same emitted sequence, same
+  // count.
+  Rng rng(19);
+  const size_t lengths[] = {0, 1, 2, 3, 8, 17, 40, 200};
+  for (const size_t la : lengths) {
+    for (const size_t lb : lengths) {
+      for (const uint64_t range : {4, 30, 1000}) {
+        for (int trial = 0; trial < 12; ++trial) {
+          const auto a = SortedSample(la, range, &rng);
+          const auto b = SortedSample(lb, range, &rng);
+          std::vector<NodeId> expected;
+          const int64_t expected_cmp = ThreeWayMerge(a, b, &expected);
+          std::vector<NodeId> got;
+          const int64_t cmp =
+              IntersectMergeT(a, b, [&got](NodeId v) { got.push_back(v); });
+          ASSERT_EQ(got, expected) << la << "x" << lb << " range " << range;
+          ASSERT_EQ(cmp, expected_cmp)
+              << la << "x" << lb << " range " << range;
+        }
+      }
+    }
   }
 }
 
@@ -329,12 +389,97 @@ TEST(SimdIntersectTest, EveryBlockKernelLevelAgrees) {
   }
 }
 
+TEST(SimdIntersectTest, TailStoreStaysInsideAnExactBuffer) {
+  // The scalar tail stores a[i] to out[m] on every step and keeps it only
+  // on a match. Here every element of the shorter list matches, so m
+  // climbs to min(|a|, |b|); each buffer is exactly that long, and an
+  // ASan build flags any store past it (the `intersect` sanitizer leg).
+  Rng rng(53);
+  for (const SimdLevel level :
+       {SimdLevel::kScalar, SimdLevel::kAvx2, SimdLevel::kAvx512}) {
+    for (size_t len = 1; len <= 40; ++len) {
+      for (int trial = 0; trial < 4; ++trial) {
+        const auto shorter =
+            Strided(len, 0, 3000 + static_cast<unsigned>(len * 4 + trial));
+        std::set<NodeId> superset(shorter.begin(), shorter.end());
+        const size_t extra = rng.NextBounded(40);
+        while (superset.size() < len + extra) {
+          superset.insert(static_cast<NodeId>(rng.NextBounded(4 * len + 80)));
+        }
+        const std::vector<NodeId> longer(superset.begin(), superset.end());
+        for (const bool swap : {false, true}) {
+          const std::span<const NodeId> a = swap ? longer : shorter;
+          const std::span<const NodeId> b = swap ? shorter : longer;
+          std::vector<NodeId> out(len);
+          ASSERT_EQ(simd::BlockMergeIntersectAt(level, a, b, out.data()), len)
+              << SimdLevelName(level) << " len " << len;
+          ASSERT_EQ(out, shorter) << SimdLevelName(level) << " len " << len;
+        }
+      }
+    }
+  }
+}
+
 TEST(SimdIntersectTest, ForcedScalarLevelStillCorrect) {
   SetActiveSimdLevelForTest(SimdLevel::kScalar);
   const auto a = Strided(300, 0, 41);
   const auto b = Strided(300, 5, 43);
   EXPECT_EQ(Emitted(kSimd, a, b), Emitted(kMerge, a, b));
   EXPECT_EQ(ActiveSimdLevel(), SimdLevel::kScalar);
+  // Restore runtime dispatch for other tests in this process.
+  SetActiveSimdLevelForTest(DetectedSimdLevel());
+}
+
+/// `len` strictly increasing values from [0, 2 * len + 8): dense enough
+/// that two such lists share about half their elements.
+std::vector<NodeId> StrictSample(size_t len, Rng* rng) {
+  std::set<NodeId> s;
+  while (s.size() < len) {
+    s.insert(static_cast<NodeId>(rng->NextBounded(2 * len + 8)));
+  }
+  return {s.begin(), s.end()};
+}
+
+TEST(IntersectEngineTest, ShortSpansMatchTheMergeAtEveryLevel) {
+  // Shorter-span lengths around both block widths (8 under AVX2, 16
+  // under AVX-512): below the active level's width the engine takes the
+  // inline merge, at or above it the block kernel. kBitmap without an
+  // index runs its merge fallback. Either way emission and
+  // merge_comparisons must equal the scalar merge's.
+  Rng rng(47);
+  for (const SimdLevel level :
+       {SimdLevel::kScalar, SimdLevel::kAvx2, SimdLevel::kAvx512}) {
+    SetActiveSimdLevelForTest(level);
+    for (const IntersectBackend backend :
+         {IntersectBackend::kSimd, IntersectBackend::kBitmap}) {
+      simd::IntersectEngine engine(backend);
+      for (const size_t len : {0, 1, 7, 8, 9, 15, 16, 17, 31, 32, 33}) {
+        for (int trial = 0; trial < 16; ++trial) {
+          const auto shorter = StrictSample(len, &rng);
+          const auto longer = StrictSample(len + rng.NextBounded(48), &rng);
+          const bool swap = trial % 2 == 1;  // shorter span on either side
+          const std::span<const NodeId> a = swap ? longer : shorter;
+          const std::span<const NodeId> b = swap ? shorter : longer;
+          std::vector<NodeId> expected;
+          const int64_t merge_cmp = IntersectMergeT(
+              a, b, [&expected](NodeId v) { expected.push_back(v); });
+          std::vector<NodeId> got;
+          int64_t cmp = 0;
+          engine.Intersect(a, {0, true}, b, {1, true}, 0,
+                           ~NodeId{0}, &cmp,
+                           [&got](NodeId v) { got.push_back(v); });
+          const std::string label =
+              std::string(SimdLevelName(ActiveSimdLevel())) + "/" +
+              IntersectBackendName(backend) + "/len " +
+              std::to_string(len) + "/trial " + std::to_string(trial);
+          ASSERT_EQ(got, expected) << label;
+          ASSERT_EQ(cmp, merge_cmp) << label;
+          ASSERT_EQ(cmp, simd::ScalarMergeComparisons(a, b, expected.size()))
+              << label;
+        }
+      }
+    }
+  }
   // Restore runtime dispatch for other tests in this process.
   SetActiveSimdLevelForTest(DetectedSimdLevel());
 }

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <atomic>
 #include <numeric>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -110,6 +111,9 @@ Graph MakeEquivalenceGraph(const std::string& kind) {
     return GeneratePreferentialAttachment(400, 4, &rng).ValueOrDie();
   }
   if (kind == "clique") return MakeComplete(40);
+  if (kind == "empty") return MakeEmpty(0);
+  if (kind == "isolated") return MakeEmpty(50);
+  if (kind == "star") return MakeStar(1601);
   ADD_FAILURE() << "unknown graph kind " << kind;
   return Graph();
 }
@@ -229,8 +233,18 @@ TEST(ParallelEngineTest, EmptyAndTriangleFreeGraphs) {
 // ---------------------------------------------------------------------------
 // Parallel orientation.
 
+/// True when `row` is strictly ascending: sorted, no label twice.
+bool StrictlyAscending(std::span<const NodeId> row) {
+  return std::adjacent_find(row.begin(), row.end(),
+                            [](NodeId a, NodeId b) { return a >= b; }) ==
+         row.end();
+}
+
 TEST(ParallelOrientTest, FromLabelsMatchesSerialForAnyThreadCount) {
-  for (const std::string kind : {"er", "config_pareto", "pa", "clique"}) {
+  // n = 0, isolated-only and a 1,600-leaf star (one row holds every arc
+  // under a hub-first or hub-last order) besides the random families.
+  for (const std::string kind : {"er", "config_pareto", "pa", "clique",
+                                 "empty", "isolated", "star"}) {
     const Graph g = MakeEquivalenceGraph(kind);
     for (PermutationKind order :
          {PermutationKind::kDescending, PermutationKind::kRoundRobin,
@@ -254,11 +268,13 @@ TEST(ParallelOrientTest, FromLabelsMatchesSerialForAnyThreadCount) {
           const auto node = static_cast<NodeId>(i);
           const auto so = serial.OutNeighbors(node);
           const auto po = parallel.OutNeighbors(node);
+          ASSERT_TRUE(StrictlyAscending(so)) << label << " out row " << i;
           ASSERT_TRUE(std::equal(so.begin(), so.end(), po.begin(),
                                  po.end()))
               << label << " out row " << i;
           const auto si = serial.InNeighbors(node);
           const auto pi = parallel.InNeighbors(node);
+          ASSERT_TRUE(StrictlyAscending(si)) << label << " in row " << i;
           ASSERT_TRUE(std::equal(si.begin(), si.end(), pi.begin(),
                                  pi.end()))
               << label << " in row " << i;

@@ -1,17 +1,24 @@
 /// \file bench_outofcore.cpp
 /// End-to-end acceptance bench of the out-of-core pipeline (src/ooc):
-/// converts and T1/E1-counts a Pareto graph at least 4x larger than the
+/// converts and E1-counts a Pareto graph at least 4x larger than the
 /// memory budget through `trilist_cli` subprocesses, measuring each
-/// child's peak RSS with wait4(2). The run FAILS (exit 1) unless
+/// child's peak RSS with wait4(2). The paged count runs twice, through
+/// `count` and through `run --report json`, which share one budgeted
+/// path. The run FAILS (exit 1) unless
 ///
 ///   * the produced `.tlg` is >= 4x the budget,
-///   * both the conversion and the paged count stayed under the budget
-///     (child ru_maxrss, i.e. the whole process, not just the ledger),
-///   * the paged count is bit-identical to an uncapped in-memory run.
+///   * the conversion, the paged `count` and the paged `run` each stayed
+///     under the budget (child ru_maxrss, i.e. the whole process, not
+///     just the ledger),
+///   * both paged runs are bit-identical to an uncapped in-memory count.
 ///
 /// Results (peak RSS, spill bytes, effective GB/s per stage) land in
 /// BENCH_outofcore.json. The CLI binary path is injected at build time
-/// (TRILIST_CLI_BIN); workdir defaults to TMPDIR or /tmp.
+/// (TRILIST_CLI_BIN); workdir defaults to TMPDIR or /tmp. The committed
+/// record comes from the default scale:
+///
+///   cmake --build build --target bench_outofcore trilist_cli
+///   (cd build && ./bench/bench_outofcore) && cp build/BENCH_outofcore.json .
 
 #include <cinttypes>
 #include <cstdint>
@@ -170,15 +177,24 @@ int main() {
        "--mem-budget", budget_flag});
   const ChildResult reference = RunChild(
       {cli, "count", "--in", tlg_path, "--method", "E1", "--order", "D"});
-  if (paged.exit_code != 0 || reference.exit_code != 0) {
-    std::fprintf(stderr, "count failed:\npaged:\n%s\nreference:\n%s\n",
-                 paged.stdout_text.c_str(),
-                 reference.stdout_text.c_str());
+  const ChildResult run_paged = RunChild(
+      {cli, "run", "--in", tlg_path, "--methods", "E1", "--order", "D",
+       "--mem-budget", budget_flag, "--report", "json"});
+  if (paged.exit_code != 0 || reference.exit_code != 0 ||
+      run_paged.exit_code != 0) {
+    std::fprintf(stderr,
+                 "count failed:\npaged:\n%s\nreference:\n%s\nrun:\n%s\n",
+                 paged.stdout_text.c_str(), reference.stdout_text.c_str(),
+                 run_paged.stdout_text.c_str());
     return 1;
   }
   const int64_t paged_triangles = ExtractTriangles(paged.stdout_text);
   const int64_t reference_triangles =
       ExtractTriangles(reference.stdout_text);
+  const int64_t run_triangles = ExtractInt(run_paged.stdout_text, "triangles");
+  const int64_t run_passes = ExtractInt(run_paged.stdout_text, "passes");
+  const int64_t run_evictions =
+      ExtractInt(run_paged.stdout_text, "evictions");
 
   std::printf("  convert: peak RSS %" PRId64 " B, %.2fs (%.2f GB/s in)\n",
               convert.peak_rss_bytes, convert.wall_s,
@@ -187,6 +203,11 @@ int main() {
               " B, %.2fs (%.2f GB/s)\n",
               paged_triangles, paged.peak_rss_bytes, paged.wall_s,
               GbPerS(tlg_bytes, paged.wall_s));
+  std::printf("  paged run: %" PRId64 " triangles, %" PRId64
+              " passes, %" PRId64 " evictions, peak RSS %" PRId64
+              " B, %.2fs\n",
+              run_triangles, run_passes, run_evictions,
+              run_paged.peak_rss_bytes, run_paged.wall_s);
   std::printf("  reference count: %" PRId64 " triangles, peak RSS %" PRId64
               " B\n",
               reference_triangles, reference.peak_rss_bytes);
@@ -210,10 +231,22 @@ int main() {
                  paged.peak_rss_bytes, budget);
     ok = false;
   }
+  if (run_paged.peak_rss_bytes >= budget) {
+    std::fprintf(stderr, "FAIL: paged run RSS %" PRId64
+                         " B >= budget %" PRId64 " B\n",
+                 run_paged.peak_rss_bytes, budget);
+    ok = false;
+  }
   if (paged_triangles < 0 || paged_triangles != reference_triangles) {
     std::fprintf(stderr, "FAIL: paged triangles %" PRId64
                          " != reference %" PRId64 "\n",
                  paged_triangles, reference_triangles);
+    ok = false;
+  }
+  if (run_triangles != reference_triangles) {
+    std::fprintf(stderr, "FAIL: paged run triangles %" PRId64
+                         " != reference %" PRId64 "\n",
+                 run_triangles, reference_triangles);
     ok = false;
   }
   if (spill_bytes <= 0) {
@@ -250,6 +283,15 @@ int main() {
   w.Field("peak_rss_bytes", paged.peak_rss_bytes);
   w.FieldDouble("wall_s", paged.wall_s);
   w.FieldDouble("graph_gb_per_s", GbPerS(tlg_bytes, paged.wall_s), 3);
+  w.EndObject();
+  w.Key("run_paged");
+  w.BeginObject();
+  w.Field("triangles", run_triangles);
+  w.Field("passes", run_passes);
+  w.Field("evictions", run_evictions);
+  w.Field("peak_rss_bytes", run_paged.peak_rss_bytes);
+  w.FieldDouble("wall_s", run_paged.wall_s);
+  w.FieldDouble("graph_gb_per_s", GbPerS(tlg_bytes, run_paged.wall_s), 3);
   w.EndObject();
   w.Key("count_reference");
   w.BeginObject();

@@ -3,10 +3,10 @@
 #include <memory>
 
 /// \file exec_policy.h
-/// Execution policy for listing runs: how many threads to use, how finely
-/// to over-decompose the work, and which intersection backend the
-/// scanning edge iterators run on. Lives in its own header so the
-/// registry can accept a policy without depending on the engine.
+/// Execution policy for listing runs: how many threads to use and which
+/// intersection backend the scanning edge iterators run on. Lives in its
+/// own header so the registry can accept a policy without depending on
+/// the engine.
 
 namespace trilist {
 
@@ -46,11 +46,6 @@ struct ExecPolicy {
   /// serial; 0 is treated as 1, not as "auto" — ask HardwareThreads()
   /// explicitly when you want the machine width.
   int threads = 1;
-
-  /// Work-chunk over-decomposition factor: the planner cuts the iteration
-  /// space into `threads * chunks_per_thread` equal-cost chunks so a
-  /// straggler chunk cannot idle the rest of the pool. Clamped to >= 1.
-  int chunks_per_thread = 8;
 
   /// Intersection backend of the scanning edge iterators.
   IntersectBackend intersect = IntersectBackend::kMerge;

@@ -15,6 +15,11 @@ namespace trilist {
 
 namespace {
 
+/// Work-chunk over-decomposition: the planner cuts the iteration space
+/// into `threads * kChunksPerThread` equal-cost chunks so a straggler
+/// chunk cannot idle the rest of the pool.
+constexpr size_t kChunksPerThread = 8;
+
 /// Paper-cost weight of one outer position (see the header): the work the
 /// serial kernel performs at (v, p). The planner adds 1 per position on
 /// top, so zero-cost positions still advance chunk boundaries.
@@ -121,9 +126,8 @@ OpCounts RunMethodParallel(Method m, const OrientedGraph& g,
     serial.threads = 1;
     return RunMethod(m, g, arcs, sink, serial);
   }
-  const size_t num_chunks = static_cast<size_t>(threads) *
-                            static_cast<size_t>(
-                                std::max(1, policy.chunks_per_thread));
+  const size_t num_chunks =
+      static_cast<size_t>(threads) * kChunksPerThread;
   const std::vector<Cut> cuts = PlanCuts(m, g, num_chunks);
   // A counting sink needs no triangles: each chunk keeps only its
   // OpCounts, and the sink is credited once with the exact total. Any

@@ -4,9 +4,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
-#include <vector>
 
-#include "src/algo/intersect.h"
 #include "src/graph/graph.h"
 #include "src/util/cpu_features.h"
 
@@ -79,42 +77,6 @@ inline int64_t ScalarMergeComparisons(std::span<const NodeId> a,
   const size_t i_end = static_cast<size_t>(
       std::upper_bound(a.begin(), a.end(), b.back()) - a.begin());
   return static_cast<int64_t>(i_end + b.size() - matches);
-}
-
-/// True when `s` holds two equal adjacent elements, i.e. the input is
-/// sorted but not strictly — the one shape where block merge and scalar
-/// merge disagree on multiplicity.
-inline bool HasAdjacentDuplicates(std::span<const NodeId> s) {
-  for (size_t i = 1; i < s.size(); ++i) {
-    if (s[i] == s[i - 1]) return true;
-  }
-  return false;
-}
-
-/// Safe templated front end over the block kernels: verifies strictness
-/// (falling back to IntersectMergeT on duplicate-bearing inputs, so the
-/// semantics match the scalar merge on *any* sorted input), buffers matches
-/// on the stack for typical adjacency sizes, and returns the
-/// scalar-equivalent comparison count.
-template <typename Emit>
-int64_t IntersectSimdT(std::span<const NodeId> a, std::span<const NodeId> b,
-                       Emit&& emit) {
-  if (a.empty() || b.empty()) return 0;
-  if (HasAdjacentDuplicates(a) || HasAdjacentDuplicates(b)) {
-    return IntersectMergeT(a, b, emit);
-  }
-  constexpr size_t kStackCap = 256;
-  NodeId stack_buf[kStackCap];
-  std::vector<NodeId> heap_buf;
-  NodeId* out = stack_buf;
-  const size_t cap = std::min(a.size(), b.size());
-  if (cap > kStackCap) {
-    heap_buf.resize(cap);
-    out = heap_buf.data();
-  }
-  const size_t matches = BlockMergeIntersect(a, b, out);
-  for (size_t k = 0; k < matches; ++k) emit(out[k]);
-  return ScalarMergeComparisons(a, b, matches);
 }
 
 }  // namespace simd

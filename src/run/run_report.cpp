@@ -72,6 +72,7 @@ std::string RunReport::ToJson() const {
   w.Field("bytes_loaded", io.bytes_loaded);
   w.Field("bytes_streamed", io.bytes_streamed);
   w.Field("total_bytes", io.TotalBytes());
+  w.Field("evictions", io_evictions);
   w.EndObject();
 
   w.Key("stages");
@@ -181,7 +182,7 @@ void RunReport::PrintTable(std::ostream& out) const {
         << FormatBytes(static_cast<double>(io.bytes_loaded))
         << " loaded + "
         << FormatBytes(static_cast<double>(io.bytes_streamed))
-        << " streamed\n";
+        << " streamed, " << io_evictions << " evictions\n";
   }
   out << "peak RSS " << FormatBytes(static_cast<double>(peak_rss_bytes))
       << ", CPU " << FormatNumber(cpu_s, 2) << "s, utilization "

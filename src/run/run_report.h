@@ -39,7 +39,10 @@ namespace trilist {
 /// ops/cost of the actual run (same weighting, so regret is a plain
 /// ratio), and the candidate count. "planned": false with empty/zero
 /// fields on fully pinned runs.
-inline constexpr int kRunReportSchemaVersion = 4;
+///
+/// v5 (additive): "io.evictions" — the MADV_DONTNEED calls a budgeted
+/// run over a demand-paged `.tlg` issued behind its scan (0 elsewhere).
+inline constexpr int kRunReportSchemaVersion = 5;
 
 /// \brief Result of one method's listing pass (best of RunSpec::repeats).
 struct MethodReport {
@@ -132,11 +135,13 @@ struct RunReport {
 
   /// Out-of-core execution (RunSpec::mem_budget_bytes > 0): the budget
   /// the listing stage was held to, the partition count of the label
-  /// space, and the I/O ledger summed across methods.
+  /// space, the I/O ledger summed across methods, and the page evictions
+  /// issued over a demand-paged `.tlg`.
   bool partitioned = false;
   int64_t mem_budget_bytes = 0;
   int64_t io_partitions = 0;
   IoStats io;
+  int64_t io_evictions = 0;
 
   /// Process resource gauges, sampled across the whole run.
   size_t peak_rss_bytes = 0;

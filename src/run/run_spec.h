@@ -139,10 +139,13 @@ struct RunSpec {
   /// passes above stay hook-free.
   bool degree_profile = false;
   /// Memory budget for the listing stage, in bytes; 0 (default) runs
-  /// fully in memory. When positive, `.tlg` file sources are opened
-  /// demand-paged and E1/E2 execute through the partitioned out-of-core
-  /// executors (src/xm) under this budget — other methods are rejected —
-  /// and the report carries the realized I/O ledger.
+  /// fully in memory. When positive, E1/E2 execute through the
+  /// partitioned out-of-core executors (src/xm) — other methods are
+  /// rejected — and the report carries the realized I/O ledger. Half
+  /// the budget funds the resident partition (see ListOnOriented). A
+  /// `.tlg` source is opened demand-paged, must embed the requested
+  /// orientation, and is evicted behind the scan, so the process stays
+  /// under the budget.
   int64_t mem_budget_bytes = 0;
 };
 

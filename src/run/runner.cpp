@@ -23,6 +23,7 @@
 #include "src/graph/io.h"
 #include "src/obs/degree_profile.h"
 #include "src/obs/trace.h"
+#include "src/ooc/evictor.h"
 #include "src/order/pipeline.h"
 #include "src/order/registry.h"
 #include "src/run/planner.h"
@@ -168,6 +169,25 @@ Result<AcquiredGraph> AcquireGraph(const RunSpec& spec, RunReport* report) {
   return Status::InvalidArgument("unknown graph source kind");
 }
 
+/// How a memory budget B is spent by a partitioned run — the one budget
+/// rule, whatever the source. B/2 funds the resident partition; the
+/// streamed window between evictions gets max(B/8, 1 MiB); the rest is
+/// headroom for the node-indexed sections (offsets, original_of) that
+/// every pass touches and that cannot be evicted while the pass runs.
+/// Budgets below 1 MiB act as 1 MiB.
+struct BudgetSplit {
+  Partitioning parts;
+  int64_t window_bytes;
+};
+
+BudgetSplit SplitBudget(const OrientedGraph& oriented,
+                        int64_t mem_budget_bytes) {
+  constexpr int64_t kFloor = int64_t{1} << 20;
+  const int64_t budget = std::max(mem_budget_bytes, kFloor);
+  return {Partitioning::ForMemoryBudget(oriented, budget / 2),
+          std::max(budget / 8, kFloor)};
+}
+
 }  // namespace
 
 OrientedGraph OrientStages(const Graph& graph, const OrientSpec& orient,
@@ -192,10 +212,11 @@ OrientedGraph OrientStages(const Graph& graph, const OrientSpec& orient,
 Status ListOnOriented(const OrientedGraph& oriented,
                       const std::vector<Method>& methods,
                       const ExecPolicy& exec_in, int repeats, SinkKind sink,
-                      RunReport* report, int64_t mem_budget_bytes) {
+                      RunReport* report, int64_t mem_budget_bytes,
+                      const MmapFile* paged_file) {
   // Out-of-core mode: only the scanning edge iterators with partitioned
   // realizations run under a budget.
-  std::optional<Partitioning> parts;
+  std::optional<BudgetSplit> split;
   if (mem_budget_bytes > 0) {
     for (Method m : methods) {
       if (m != Method::kE1 && m != Method::kE2) {
@@ -205,12 +226,11 @@ Status ListOnOriented(const OrientedGraph& oriented,
             MethodName(m));
       }
     }
-    parts.emplace(
-        Partitioning::ForMemoryBudget(oriented, mem_budget_bytes));
+    split.emplace(SplitBudget(oriented, mem_budget_bytes));
     report->partitioned = true;
     report->mem_budget_bytes = mem_budget_bytes;
     report->io_partitions =
-        static_cast<int64_t>(parts->num_partitions());
+        static_cast<int64_t>(split->parts.num_partitions());
   }
 
   // Directed-arc set, shared by all vertex-iterator methods.
@@ -252,7 +272,7 @@ Status ListOnOriented(const OrientedGraph& oriented,
     if (MethodFamily(m) == Family::kScanningEdgeIterator) {
       mr.intersect_backend = IntersectBackendName(exec.intersect);
     }
-    if (parts.has_value()) {
+    if (split.has_value()) {
       // The partitioned executors are serial and always merge-intersect.
       mr.parallel = false;
       mr.intersect_backend = "merge";
@@ -270,15 +290,25 @@ Status ListOnOriented(const OrientedGraph& oriented,
       span.Arg("repeat", static_cast<int64_t>(rep));
       Timer timer;
       OpCounts ops;
-      if (parts.has_value()) {
+      if (split.has_value()) {
+        // Over a paged mapping the evictor keeps the streamed window
+        // and the last partition from accumulating in RSS.
+        std::optional<ooc::Evictor> evictor;
+        if (paged_file != nullptr) {
+          evictor.emplace(oriented, paged_file, split->window_bytes);
+        }
+        PassObserver* observer = evictor ? &*evictor : nullptr;
         IoStats io;
         ops = m == Method::kE1
-                  ? RunPartitionedE1(oriented, *parts, triangle_sink, &io)
-                  : RunPartitionedE2(oriented, *parts, triangle_sink, &io);
+                  ? RunPartitionedE1(oriented, split->parts, triangle_sink,
+                                     &io, observer)
+                  : RunPartitionedE2(oriented, split->parts, triangle_sink,
+                                     &io, observer);
         if (rep == 0) {
           report->io.passes += io.passes;
           report->io.bytes_loaded += io.bytes_loaded;
           report->io.bytes_streamed += io.bytes_streamed;
+          if (evictor) report->io_evictions += evictor->evictions();
         }
       } else {
         ops = MethodFamily(m) == Family::kVertexIterator
@@ -404,6 +434,20 @@ Result<RunReport> RunPipeline(const RunSpec& spec) {
       acquired->tlg != nullptr
           ? acquired->tlg->FindOrientation(orient)
           : nullptr;
+  // A budgeted `.tlg` run streams the container's own arrays; orienting
+  // in RAM would hold the whole graph, so the orientation must be there.
+  if (spec.mem_budget_bytes > 0 && acquired->tlg != nullptr &&
+      cached == nullptr) {
+    std::string embed = std::string("--orders ") +
+                        OrderingRegistry::Instance().Of(orient.kind).cli_name();
+    if (orient.kind == PermutationKind::kUniform) {
+      embed += " --seed " + std::to_string(orient.seed);
+    }
+    return Status::InvalidArgument(
+        spec.source.path + " does not embed the " + orient.Key() +
+        " orientation a budgeted run streams; re-run `trilist_cli convert " +
+        embed + "` to embed it");
+  }
   OrientedGraph oriented;
   if (cached != nullptr) {
     report.cached_orientation = true;
@@ -417,7 +461,10 @@ Result<RunReport> RunPipeline(const RunSpec& spec) {
   // 4-5. Arc-set build + listing with every requested method.
   const Status listed =
       ListOnOriented(oriented, methods, exec, repeats, spec.sink,
-                     &report, spec.mem_budget_bytes);
+                     &report, spec.mem_budget_bytes,
+                     cached != nullptr && acquired->tlg->paged()
+                         ? acquired->tlg->backing()
+                         : nullptr);
   if (!listed.ok()) return listed;
 
   // Close the planner's audit loop: the measured operation counters,

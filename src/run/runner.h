@@ -4,6 +4,7 @@
 #include <string>
 #include <vector>
 
+#include "src/graph/mmap_file.h"
 #include "src/run/run_report.h"
 #include "src/run/run_spec.h"
 #include "src/util/rng.h"
@@ -74,14 +75,19 @@ OrientedGraph OrientStages(const Graph& graph, const OrientSpec& orient,
 /// pool, which is what makes served triangle counts bit-identical to
 /// `trilist_cli run` on the same spec.
 ///
-/// A positive `mem_budget_bytes` switches E1/E2 to the partitioned
-/// out-of-core executors (src/xm) under that budget — counts and CPU
-/// counters are identical; the report additionally carries the I/O
-/// ledger — and rejects any other method with InvalidArgument.
+/// A positive `mem_budget_bytes` B switches E1/E2 to the partitioned
+/// out-of-core executors (src/xm) and rejects any other method with
+/// InvalidArgument. Counts and CPU counters are identical; the report
+/// additionally carries the I/O ledger. B/2 funds the resident
+/// partition and the streamed window is max(B/8, 1 MiB); budgets below
+/// 1 MiB act as 1 MiB. When `paged_file` is the demand-paged mapping
+/// that `oriented`'s arrays live in, an ooc::Evictor drops each streamed
+/// window behind the cursor, so the whole run stays under B.
 Status ListOnOriented(const OrientedGraph& oriented,
                       const std::vector<Method>& methods,
                       const ExecPolicy& exec, int repeats, SinkKind sink,
-                      RunReport* report, int64_t mem_budget_bytes = 0);
+                      RunReport* report, int64_t mem_budget_bytes = 0,
+                      const MmapFile* paged_file = nullptr);
 
 /// Orients `g` under `spec` and counts its triangles with method `m` —
 /// the one-call from-scratch baseline shared by the dynamic-graph replay

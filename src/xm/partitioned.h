@@ -71,8 +71,9 @@ class Partitioning {
 /// Watches a partitioned run pass by pass: BeginPass(lo, hi) when
 /// partition [lo, hi) becomes resident, AfterRow(v) once the streamed row
 /// v is done with (rows arrive in label order), EndPass() after the last
-/// row. The paged counter (src/ooc/paged_count.h) attaches its evictor
-/// here; the in-memory executors pass none.
+/// row. A budgeted run over a demand-paged `.tlg` (ListOnOriented in
+/// src/run/runner.h) attaches an ooc::Evictor (src/ooc/evictor.h) here;
+/// every other partitioned run passes none.
 class PassObserver {
  public:
   virtual ~PassObserver() = default;

@@ -117,7 +117,7 @@ if(NOT run_result EQUAL 0)
 endif()
 file(WRITE "${report_file}" "${run_out}")
 
-string(FIND "${run_out}" "\"schema_version\": 4" has_schema)
+string(FIND "${run_out}" "\"schema_version\": 5" has_schema)
 string(FIND "${run_out}" "\"degree_profiles\": [" has_profiles)
 string(FIND "${run_out}" "\"total_measured_ops\"" has_measured)
 string(FIND "${run_out}" "\"build\"" has_build)

@@ -38,8 +38,14 @@ constexpr auto kGallop = [](auto a, auto b, auto&& emit) {
 constexpr auto kAuto = [](auto a, auto b, auto&& emit) {
   return IntersectAutoT(a, b, emit);
 };
+// The path users run: the engine's block merge, at the SIMD level active
+// when the lambda is called.
 constexpr auto kSimd = [](auto a, auto b, auto&& emit) {
-  return simd::IntersectSimdT(a, b, emit);
+  int64_t comparisons = 0;
+  simd::IntersectEngine(IntersectBackend::kSimd)
+      .Intersect(a, {0, true}, b, {1, true}, 0, ~NodeId{0}, &comparisons,
+                 emit);
+  return comparisons;
 };
 
 /// Matches found by `kernel`, counted by the emit.
@@ -296,23 +302,6 @@ TEST(SimdIntersectTest, AdversarialSpans) {
                 static_cast<int64_t>(expected.size()));
     }
   }
-}
-
-TEST(SimdIntersectTest, DuplicatesFallBackToScalarSemantics) {
-  // Adjacent duplicates: the block kernels require strict sortedness, so
-  // the public kernel must take the scalar path and match Merge exactly —
-  // including the comparison count, which only the scalar loop produces
-  // for non-strict inputs.
-  const std::vector<NodeId> a = {1, 2, 2, 3, 5, 5, 5, 9};
-  const std::vector<NodeId> b = {2, 2, 4, 5, 9, 9};
-  std::vector<NodeId> merge_out;
-  const int64_t merge_cmp =
-      IntersectMergeT(a, b, [&merge_out](NodeId v) { merge_out.push_back(v); });
-  std::vector<NodeId> simd_out;
-  EXPECT_EQ(simd::IntersectSimdT(
-                a, b, [&simd_out](NodeId v) { simd_out.push_back(v); }),
-            merge_cmp);
-  EXPECT_EQ(simd_out, merge_out);
 }
 
 TEST(SimdIntersectTest, RandomizedDifferentialAllKernels) {

@@ -16,8 +16,8 @@
 #include "src/graph/ingest.h"
 #include "src/graph/io.h"
 #include "src/ooc/chunk_reader.h"
-#include "src/ooc/paged_count.h"
 #include "src/order/pipeline.h"
+#include "src/run/runner.h"
 #include "src/util/rng.h"
 #include "src/xm/partitioned.h"
 #include "tests/expect_same_ops.h"
@@ -203,7 +203,11 @@ TEST(OocConvertTest, TmpdirSpaceCheckFailsFastWithClearMessage) {
   EXPECT_FALSE(direct.ok());
 }
 
-TEST(OocPagedCountTest, MatchesInMemoryExecutorsAndLedger) {
+// A budgeted run over a `.tlg` is the paged path: the container opens
+// demand-paged and the runner's partitioned executor evicts behind its
+// scan. Counts and ops equal the in-memory kernels; the ledger follows
+// the budget rule (B/2 per resident partition).
+TEST(OocPagedCountTest, RunnerMatchesInMemoryExecutorsAndLedger) {
   const std::string text = SampleEdgeListFile("ooc_count.txt");
   const std::string path = TempPath("ooc_count.tlg");
   OocConvertOptions options = TightOptions();
@@ -215,39 +219,49 @@ TEST(OocPagedCountTest, MatchesInMemoryExecutorsAndLedger) {
   const OrientedGraph* og =
       t->FindOrientation({PermutationKind::kDescending, 0});
   ASSERT_NE(og, nullptr);
+  TlgLoadOptions paged;
+  paged.paged = true;
+  auto mapped = TlgFile::Open(path, paged);
+  ASSERT_TRUE(mapped.ok());
 
-  OocCountOptions copts;
-  copts.mem_budget_bytes = 1 << 20;
-  copts.spec = {PermutationKind::kDescending, 0};
-
-  // The paged path funds partitions with half the budget (paged_count.h).
-  const Partitioning parts =
-      Partitioning::ForMemoryBudget(*og, copts.mem_budget_bytes / 2);
+  constexpr int64_t kBudget = 1 << 20;
+  const Partitioning parts = Partitioning::ForMemoryBudget(*og, kBudget / 2);
   const auto passes = static_cast<int64_t>(parts.num_partitions());
   const auto graph_bytes =
       static_cast<int64_t>(og->num_arcs() * sizeof(NodeId));
-  for (const bool use_e2 : {false, true}) {
-    copts.use_e2 = use_e2;
-    auto counted = OocCountTlg(path, copts);
-    ASSERT_TRUE(counted.ok()) << counted.status().ToString();
+  for (const Method m : {Method::kE1, Method::kE2}) {
+    RunSpec spec;
+    spec.source = GraphSource::FromFile(path);
+    spec.orient = {PermutationKind::kDescending, 0};
+    spec.methods = {m};
+    spec.mem_budget_bytes = kBudget;
+    auto report = RunPipeline(spec);
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    EXPECT_TRUE(report->partitioned);
+    EXPECT_TRUE(report->cached_orientation);
 
     // Reference: the in-memory kernel, which shares no loop with the
     // partitioned executor the paged path runs.
     CountingSink sink;
-    const OpCounts want = use_e2 ? RunE2(*og, &sink) : RunE1(*og, &sink);
-    ExpectSameOps(counted->ops, want, use_e2 ? "E2" : "E1");
+    const OpCounts want =
+        m == Method::kE2 ? RunE2(*og, &sink) : RunE1(*og, &sink);
+    ExpectSameOps(report->methods.front().ops, want, MethodName(m));
+    EXPECT_EQ(report->Triangles(), sink.count());
 
     // Ledger: one resident load of the whole graph across passes, one
     // full stream per pass.
-    EXPECT_EQ(counted->io.passes, passes);
-    EXPECT_EQ(counted->io.bytes_loaded, graph_bytes);
-    EXPECT_EQ(counted->io.bytes_streamed, passes * graph_bytes);
-    if (counted->mmap_backed && counted->io.passes > 1) {
-      EXPECT_GT(counted->evictions, 0);
+    EXPECT_EQ(report->io_partitions, passes);
+    EXPECT_EQ(report->io.passes, passes);
+    EXPECT_EQ(report->io.bytes_loaded, graph_bytes);
+    EXPECT_EQ(report->io.bytes_streamed, passes * graph_bytes);
+    if (mapped->mmap_backed() && passes > 1) {
+      EXPECT_GT(report->io_evictions, 0);
     }
   }
 }
 
+// A budgeted run must not orient a whole container in RAM: a missing
+// orientation is an error that names the `convert` flags embedding it.
 TEST(OocPagedCountTest, MissingOrientationIsClearError) {
   const std::string text = SampleEdgeListFile("ooc_missing.txt");
   const std::string path = TempPath("ooc_missing.tlg");
@@ -255,11 +269,16 @@ TEST(OocPagedCountTest, MissingOrientationIsClearError) {
   options.orientations = {{PermutationKind::kDescending, 0}};
   ASSERT_TRUE(OocConvertFile(text, path, options).ok());
 
-  OocCountOptions copts;
-  copts.spec = {PermutationKind::kUniform, 5};
-  auto counted = OocCountTlg(path, copts);
-  ASSERT_FALSE(counted.ok());
-  EXPECT_EQ(counted.status().code(), StatusCode::kInvalidArgument);
+  RunSpec spec;
+  spec.source = GraphSource::FromFile(path);
+  spec.orient = {PermutationKind::kUniform, 5};
+  spec.mem_budget_bytes = 1 << 20;
+  auto report = RunPipeline(spec);
+  ASSERT_FALSE(report.ok());
+  EXPECT_EQ(report.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(report.status().ToString().find("convert --orders U --seed 5"),
+            std::string::npos)
+      << report.status().ToString();
 }
 
 }  // namespace

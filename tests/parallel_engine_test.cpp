@@ -161,15 +161,14 @@ TEST(ParallelEngineTest, MatchesSerialOnAllFamiliesMethodsAndWidths) {
 TEST(ParallelEngineTest, FineChunkingStaysExact) {
   // Far more chunks than work: boundary handling must not drop or
   // duplicate positions even when most chunks are empty.
-  const Graph g = MakeComplete(12);
+  const Graph g = MakeComplete(5);
   const OrientedGraph og = OrientNamed(g, PermutationKind::kDescending);
   const DirectedEdgeSet arcs(og);
   for (Method m : {Method::kT1, Method::kT2, Method::kE1, Method::kE4}) {
     CollectingSink serial_sink;
     const OpCounts serial = RunMethod(m, og, arcs, &serial_sink);
     ExecPolicy exec;
-    exec.threads = 8;
-    exec.chunks_per_thread = 64;  // 512 chunks over ~66 arcs
+    exec.threads = 8;  // 64 chunks over 10 arcs
     CollectingSink parallel_sink;
     const OpCounts parallel =
         RunMethodParallel(m, og, arcs, &parallel_sink, exec);

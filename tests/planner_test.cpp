@@ -173,7 +173,7 @@ TEST(PlannerPipelineTest, AutoEverythingPopulatesThePlanReport) {
 
   const std::string json = report->ToJson();
   EXPECT_NE(json.find("\"planned\": true"), std::string::npos);
-  EXPECT_NE(json.find("\"schema_version\": 4"), std::string::npos);
+  EXPECT_NE(json.find("\"schema_version\": 5"), std::string::npos);
   EXPECT_NE(json.find("\"candidates\":"), std::string::npos);
 }
 

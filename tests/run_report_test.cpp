@@ -99,6 +99,7 @@ RunReport MakeFixedReport() {
   r.io.passes = 2;
   r.io.bytes_loaded = 2048;
   r.io.bytes_streamed = 4096;
+  r.io_evictions = 3;
 
   r.peak_rss_bytes = 1048576;
   r.cpu_s = 0.25;
@@ -157,6 +158,7 @@ TEST(RunReportJson, LivePipelineEmitsAllSections) {
         "\"exec\"", "\"requested_threads\"", "\"intersect\"",
         "\"simd_level\"", "\"io\"", "\"partitioned\"",
         "\"mem_budget_bytes\"", "\"bytes_loaded\"", "\"bytes_streamed\"",
+        "\"evictions\"",
         "\"stages\"", "\"methods\"",
         "\"degree_profiles\"", "\"resources\"", "\"paper_cost\"",
         "\"formula_cost\"", "\"candidate_checks\"", "\"peak_rss_bytes\"",
@@ -180,6 +182,7 @@ TEST(RunReportTable, RendersStagesAndMethods) {
   EXPECT_NE(text.find("residual"), std::string::npos);
   EXPECT_NE(text.find("peak RSS"), std::string::npos);
   EXPECT_NE(text.find("out-of-core"), std::string::npos);
+  EXPECT_NE(text.find("streamed, 3 evictions"), std::string::npos);
 }
 
 TEST(JsonWriter, EscapesAndNests) {

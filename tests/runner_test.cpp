@@ -269,14 +269,20 @@ TEST(RunnerTest, CollectSinkListsTriangles) {
 // counts and CPU counters are bit-identical to the in-memory run and
 // the report carries a populated I/O ledger.
 TEST(RunnerTest, MemoryBudgetedRunMatchesInMemory) {
+  // Budgets below 1 MiB act as 1 MiB, half of which funds a partition:
+  // G(2000, 0.1) has ~200k arcs (~800 KB), so the floor forces several.
+  GenerateSpec gen;
+  gen.n = 2000;
+  gen.generator = GeneratorKind::kGnp;
+  gen.gnp_p = 0.1;
   RunSpec spec;
-  spec.source = GraphSource::FromGenerator(SmallPareto());
+  spec.source = GraphSource::FromGenerator(gen);
   spec.methods = {Method::kE1, Method::kE2};
   auto in_memory = RunPipeline(spec);
   ASSERT_TRUE(in_memory.ok()) << in_memory.status().ToString();
   EXPECT_FALSE(in_memory->partitioned);
 
-  spec.mem_budget_bytes = 16 << 10;  // tiny: forces several partitions
+  spec.mem_budget_bytes = 1 << 20;
   auto budgeted = RunPipeline(spec);
   ASSERT_TRUE(budgeted.ok()) << budgeted.status().ToString();
   EXPECT_TRUE(budgeted->partitioned);

@@ -17,10 +17,12 @@
 ///
 ///   trilist_cli count --in FILE [--method T1|T2|E1|E4|...]
 ///                     [--order D|A|RR|CRR|U|degen] [--seed S]
-///                     [--threads N]
-///       Relabel + orient an edge-list graph and list its triangles,
-///       reporting the count, the operation metrics and the per-stage
-///       wall times.
+///                     [--threads N] [--mem-budget SIZE]
+///       Relabel + orient a graph and list its triangles with one
+///       method, reporting the count, the operation metrics, the
+///       per-stage wall times and, under --mem-budget, the I/O ledger.
+///       It runs the RunSpec `run` builds from the same flags and prints
+///       a summary of the report.
 ///
 ///   trilist_cli run [--in FILE | --n N --alpha A [--trunc root|linear]
 ///                    [--gen residual|config|gnp]]
@@ -144,7 +146,6 @@
 #include "src/obs/prom.h"
 #include "src/obs/trace.h"
 #include "src/ooc/convert.h"
-#include "src/ooc/paged_count.h"
 #include "src/order/pipeline.h"
 #include "src/order/registry.h"
 #include "src/run/runner.h"
@@ -357,92 +358,101 @@ int CmdGenerate(const Flags& flags) {
   return 0;
 }
 
+/// Parses a comma-separated method list; "all" and "fundamental" name the
+/// standard sets.
+bool ParseMethodList(const std::string& csv, std::vector<Method>* out) {
+  if (csv.empty() || csv == "fundamental") {
+    *out = FundamentalMethods();
+    return true;
+  }
+  if (csv == "all") {
+    *out = AllMethods();
+    return true;
+  }
+  std::istringstream stream(csv);
+  std::string token;
+  while (std::getline(stream, token, ',')) {
+    if (token.empty()) continue;
+    Method m;
+    if (!ParseMethod(token, &m)) {
+      std::fprintf(stderr, "unknown method '%s' in --methods\n",
+                   token.c_str());
+      return false;
+    }
+    out->push_back(m);
+  }
+  return !out->empty();
+}
+
+/// The flags `count` and `run` share, parsed into `spec` (the caller sets
+/// `spec->source`): --order and --seed, --method(s) (a list, `all`,
+/// `fundamental` or `auto`), --threads, --intersect with
+/// --bitmap-min-degree, and --mem-budget. `--intersect auto` joins the
+/// planner when a plan axis is free and otherwise stays the
+/// ratio-adaptive kernel pick. A malformed --mem-budget, or one next to
+/// a planner axis (the planner may pick a method without a partitioned
+/// executor), is a usage error. Returns false after reporting one on
+/// stderr.
+bool ParseRunFlags(const char* sub, const Flags& flags, RunSpec* spec) {
+  PermutationKind order = PermutationKind::kDescending;
+  if (flags.Get("order") == "auto") {
+    spec->plan.order = true;
+  } else if (!flags.Get("order").empty() &&
+             !ParseOrder(flags.Get("order"), &order)) {
+    std::fprintf(stderr, "unknown order '%s'\n", flags.Get("order").c_str());
+    return false;
+  }
+  spec->seed = flags.GetUint("seed", 1);
+  spec->orient = OrientSpec{order, spec->seed};
+  spec->methods.clear();
+  // --methods (or the singular --method) accepts "auto": the planner
+  // races the fundamental representatives and runs the cheapest.
+  std::string methods_flag = flags.Get("methods");
+  if (methods_flag.empty()) methods_flag = flags.Get("method");
+  if (methods_flag == "auto") {
+    spec->plan.method = true;
+    spec->methods = {Method::kE1};  // placeholder; the planner overrides
+  } else if (!ParseMethodList(methods_flag.empty() ? "E1" : methods_flag,
+                              &spec->methods)) {
+    return false;
+  }
+  spec->exec.threads = ParseThreadsFlag(flags);
+  if (!ParseIntersectFlag(flags, &spec->exec)) return false;
+  if (flags.Get("intersect") == "auto" && spec->plan.Any()) {
+    spec->plan.intersect = true;
+    spec->exec.intersect = IntersectBackend::kMerge;
+  }
+  spec->mem_budget_bytes =
+      static_cast<int64_t>(ParseSizeFlag(flags, "mem-budget", 0));
+  if (flags.Has("mem-budget") && spec->mem_budget_bytes == 0) {
+    std::fprintf(stderr, "%s: bad --mem-budget '%s' (want e.g. 64M)\n", sub,
+                 flags.Get("mem-budget").c_str());
+    return false;
+  }
+  if (spec->plan.Any() && spec->mem_budget_bytes > 0) {
+    std::fprintf(stderr,
+                 "%s: --method/--order auto are incompatible with "
+                 "--mem-budget (the planner may pick a non-partitioned "
+                 "method)\n",
+                 sub);
+    return false;
+  }
+  return true;
+}
+
 int CmdCount(const Flags& flags) {
   const std::string in = flags.Get("in");
   if (in.empty()) {
     std::fprintf(stderr, "count: --in FILE is required\n");
     return 2;
   }
-  PlanFlags plan;
-  Method method = Method::kE1;
-  if (flags.Get("method") == "auto") {
-    plan.method = true;
-  } else if (!flags.Get("method").empty() &&
-             !ParseMethod(flags.Get("method"), &method)) {
-    std::fprintf(stderr, "unknown method '%s'\n",
-                 flags.Get("method").c_str());
-    return 2;
-  }
-  PermutationKind order = PermutationKind::kDescending;
-  if (flags.Get("order") == "auto") {
-    plan.order = true;
-  } else if (!flags.Get("order").empty() &&
-             !ParseOrder(flags.Get("order"), &order)) {
-    std::fprintf(stderr, "unknown order '%s'\n", flags.Get("order").c_str());
-    return 2;
-  }
-  const uint64_t mem_budget = ParseSizeFlag(flags, "mem-budget", 0);
-  if (plan.Any() && mem_budget > 0) {
-    std::fprintf(stderr,
-                 "count: --method/--order auto are incompatible with "
-                 "--mem-budget (the planner may pick a non-partitioned "
-                 "method)\n");
-    return 2;
-  }
-  if (flags.Has("mem-budget") && mem_budget == 0) {
-    std::fprintf(stderr, "count: bad --mem-budget '%s' (want e.g. 64M)\n",
-                 flags.Get("mem-budget").c_str());
-    return 2;
-  }
-
-  // A budgeted count over a .tlg container takes the true out-of-core
-  // path: demand-paged mmap, partitioned E1/E2 passes, and eviction
-  // chasing the stream cursor (src/ooc/paged_count.h). Text inputs (and
-  // .tlg files lacking the orientation) fall through to the runner's
-  // partitioned executors below.
-  if (mem_budget > 0 && LooksLikeTlgFile(in) &&
-      (method == Method::kE1 || method == Method::kE2)) {
-    ooc::OocCountOptions copts;
-    copts.mem_budget_bytes = static_cast<int64_t>(mem_budget);
-    copts.spec = OrientSpec{order, flags.GetUint("seed", 1)};
-    copts.use_e2 = method == Method::kE2;
-    Timer timer;
-    auto counted = ooc::OocCountTlg(in, copts);
-    if (counted.ok()) {
-      std::printf(
-          "%s + %s on %s (paged, budget %llu bytes):\n"
-          "  triangles %llu\n  paper-metric ops %lld\n  wall time %.3fs\n"
-          "  io: %lld passes, %lld loaded + %lld streamed "
-          "bytes, %lld evictions%s\n",
-          MethodName(method), PermutationKindName(order), in.c_str(),
-          static_cast<unsigned long long>(mem_budget),
-          static_cast<unsigned long long>(counted->ops.triangles),
-          static_cast<long long>(counted->ops.PaperCost()),
-          timer.ElapsedSeconds(), static_cast<long long>(counted->io.passes),
-          static_cast<long long>(counted->io.bytes_loaded),
-          static_cast<long long>(counted->io.bytes_streamed),
-          static_cast<long long>(counted->evictions),
-          counted->mmap_backed ? "" : " (no mmap: eviction inert)");
-      return 0;
-    }
-    std::fprintf(stderr, "%s\n", counted.status().ToString().c_str());
-    return 1;
-  }
-
   RunSpec spec;
   spec.source = GraphSource::FromFile(in);
-  spec.orient = OrientSpec{order, flags.GetUint("seed", 1)};
-  spec.plan = plan;
-  spec.methods = {method};
-  spec.exec.threads = ParseThreadsFlag(flags);
-  spec.mem_budget_bytes = static_cast<int64_t>(mem_budget);
-  if (!ParseIntersectFlag(flags, &spec.exec)) return 2;
-  // "--intersect auto" under an active planner means "let the planner
-  // price the backends"; on its own it stays the legacy ratio-adaptive
-  // kernel pick.
-  if (flags.Get("intersect") == "auto" && plan.Any()) {
-    spec.plan.intersect = true;
-    spec.exec.intersect = IntersectBackend::kMerge;
+  if (!ParseRunFlags("count", flags, &spec)) return 2;
+  if (spec.methods.size() != 1) {
+    std::fprintf(stderr, "count: --method takes one method (`run "
+                         "--methods` lists several)\n");
+    return 2;
   }
 
   auto report = RunPipeline(spec);
@@ -474,33 +484,15 @@ int CmdCount(const Flags& flags) {
       static_cast<long long>(mr.ops.PaperCost()), work,
       st.WallOf("load"), st.WallOf("order"), st.WallOf("orient"),
       st.WallOf("arcs"), st.WallOf("list"));
+  if (r.partitioned) {
+    std::printf("  io: %lld passes, %lld loaded + %lld streamed bytes, "
+                "%lld evictions\n",
+                static_cast<long long>(r.io.passes),
+                static_cast<long long>(r.io.bytes_loaded),
+                static_cast<long long>(r.io.bytes_streamed),
+                static_cast<long long>(r.io_evictions));
+  }
   return 0;
-}
-
-/// Parses a comma-separated method list; "all" and "fundamental" name the
-/// standard sets.
-bool ParseMethodList(const std::string& csv, std::vector<Method>* out) {
-  if (csv.empty() || csv == "fundamental") {
-    *out = FundamentalMethods();
-    return true;
-  }
-  if (csv == "all") {
-    *out = AllMethods();
-    return true;
-  }
-  std::istringstream stream(csv);
-  std::string token;
-  while (std::getline(stream, token, ',')) {
-    if (token.empty()) continue;
-    Method m;
-    if (!ParseMethod(token, &m)) {
-      std::fprintf(stderr, "unknown method '%s' in --methods\n",
-                   token.c_str());
-      return false;
-    }
-    out->push_back(m);
-  }
-  return !out->empty();
 }
 
 int CmdRun(const Flags& flags) {
@@ -524,50 +516,9 @@ int CmdRun(const Flags& flags) {
     }
     spec.source = GraphSource::FromGenerator(gen);
   }
-  PermutationKind order = PermutationKind::kDescending;
-  if (flags.Get("order") == "auto") {
-    spec.plan.order = true;
-  } else if (!flags.Get("order").empty() &&
-             !ParseOrder(flags.Get("order"), &order)) {
-    std::fprintf(stderr, "unknown order '%s'\n", flags.Get("order").c_str());
-    return 2;
-  }
-  spec.seed = flags.GetUint("seed", 1);
-  spec.orient = OrientSpec{order, spec.seed};
-  spec.methods.clear();
-  // --methods (or the singular --method) accepts "auto": the planner
-  // races the fundamental representatives and runs the cheapest.
-  std::string methods_flag = flags.Get("methods");
-  if (methods_flag.empty()) methods_flag = flags.Get("method");
-  if (methods_flag == "auto") {
-    spec.plan.method = true;
-    spec.methods = {Method::kE1};  // placeholder; the planner overrides
-  } else if (!ParseMethodList(methods_flag.empty() ? "E1" : methods_flag,
-                              &spec.methods)) {
-    return 2;
-  }
-  spec.exec.threads = ParseThreadsFlag(flags);
-  if (!ParseIntersectFlag(flags, &spec.exec)) return 2;
-  if (flags.Get("intersect") == "auto" && spec.plan.Any()) {
-    spec.plan.intersect = true;
-    spec.exec.intersect = IntersectBackend::kMerge;
-  }
+  if (!ParseRunFlags("run", flags, &spec)) return 2;
   spec.repeats = static_cast<int>(flags.GetUint("repeats", 1));
   spec.degree_profile = flags.Has("degree-profile");
-  spec.mem_budget_bytes =
-      static_cast<int64_t>(ParseSizeFlag(flags, "mem-budget", 0));
-  if (flags.Has("mem-budget") && spec.mem_budget_bytes == 0) {
-    std::fprintf(stderr, "run: bad --mem-budget '%s' (want e.g. 64M)\n",
-                 flags.Get("mem-budget").c_str());
-    return 2;
-  }
-  if (spec.plan.Any() && spec.mem_budget_bytes > 0) {
-    std::fprintf(stderr,
-                 "run: --methods/--order auto are incompatible with "
-                 "--mem-budget (the planner may pick a non-partitioned "
-                 "method)\n");
-    return 2;
-  }
 
   const std::string trace_path = flags.Get("trace");
   if (!trace_path.empty()) {

@@ -193,7 +193,7 @@ int main() {
   ServerOptions options;
   options.unix_path = "dynamic_mix.sock";
   ::remove(options.unix_path.c_str());
-  options.named_graphs = {{"bench", tlg_path}};
+  options.catalog.named = {{"bench", tlg_path}};
   options.workers = 0;  // all hardware threads
   options.max_queue = 256;
   auto server = TriangleServer::Start(options);

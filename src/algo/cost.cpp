@@ -100,44 +100,40 @@ bool NeedsRemoteBinarySearch(Method m) {
          m == Method::kL6;
 }
 
+namespace {
+
+int64_t ClassTerm(CostClass c, int64_t x, int64_t y) {
+  switch (c) {
+    case CostClass::kT1: return x * (x - 1) / 2;
+    case CostClass::kT2: return x * y;
+    case CostClass::kT3: return y * (y - 1) / 2;
+  }
+  return 0;
+}
+
+}  // namespace
+
 double CostClassTotal(const std::vector<int64_t>& x,
                       const std::vector<int64_t>& y, CostClass c) {
   TRILIST_DCHECK(x.size() == y.size());
-  double total = 0.0;
-  switch (c) {
-    case CostClass::kT1:
-      for (int64_t xi : x) {
-        total += 0.5 * static_cast<double>(xi) * static_cast<double>(xi - 1);
-      }
-      break;
-    case CostClass::kT2:
-      for (size_t i = 0; i < x.size(); ++i) {
-        total += static_cast<double>(x[i]) * static_cast<double>(y[i]);
-      }
-      break;
-    case CostClass::kT3:
-      for (int64_t yi : y) {
-        total += 0.5 * static_cast<double>(yi) * static_cast<double>(yi - 1);
-      }
-      break;
-  }
-  return total;
+  int64_t total = 0;
+  for (size_t i = 0; i < x.size(); ++i) total += ClassTerm(c, x[i], y[i]);
+  return static_cast<double>(total);
 }
 
-double MethodCostTotal(const std::vector<int64_t>& x,
-                       const std::vector<int64_t>& y, Method m) {
-  const double local = CostClassTotal(x, y, LocalCostClass(m));
+int64_t NodeCost(Method m, int64_t out, int64_t in) {
+  const int64_t local = ClassTerm(LocalCostClass(m), out, in);
   if (MethodFamily(m) != Family::kScanningEdgeIterator) return local;
-  return local + CostClassTotal(x, y, RemoteCostClass(m));
+  return local + ClassTerm(RemoteCostClass(m), out, in);
 }
 
 double MethodCostTotal(const OrientedGraph& g, Method m) {
-  return MethodCostTotal(g.OutDegrees(), g.InDegrees(), m);
-}
-
-double MethodCostPerNode(const OrientedGraph& g, Method m) {
-  if (g.num_nodes() == 0) return 0.0;
-  return MethodCostTotal(g, m) / static_cast<double>(g.num_nodes());
+  int64_t total = 0;
+  for (size_t i = 0; i < g.num_nodes(); ++i) {
+    const auto v = static_cast<NodeId>(i);
+    total += NodeCost(m, g.OutDegree(v), g.InDegree(v));
+  }
+  return static_cast<double>(total);
 }
 
 }  // namespace trilist

@@ -69,16 +69,17 @@ bool NeedsRemoteBinarySearch(Method m);
 double CostClassTotal(const std::vector<int64_t>& x,
                       const std::vector<int64_t>& y, CostClass c);
 
-/// Total paper-metric CPU cost n * c_n(M, theta) from degree vectors.
-/// Vertex iterators: their class total; SEI: local + remote; LEI: lookup
-/// class total (hash-build cost m is excluded, as in Table 2).
-double MethodCostTotal(const std::vector<int64_t>& x,
-                       const std::vector<int64_t>& y, Method m);
+/// Paper-metric cost the method charges one node with oriented degrees
+/// X = `out`, Y = `in`: the node's local class term plus, for scanning
+/// edge iterators, its remote class term (Table 1); lookup edge iterators
+/// pay their lookup class only (hash-build cost m is excluded, as in
+/// Table 2). Every element a kernel scans, candidate it checks or probe
+/// it makes is charged to exactly one node this way, so summing NodeCost
+/// over the oriented graph reproduces OpCounts::PaperCost() exactly.
+int64_t NodeCost(Method m, int64_t out, int64_t in);
 
-/// Convenience: MethodCostTotal on an oriented graph.
+/// Total paper-metric CPU cost n * c_n(M, theta): NodeCost summed over
+/// the oriented graph's nodes, read off its CSR offsets in place.
 double MethodCostTotal(const OrientedGraph& g, Method m);
-
-/// Per-node cost c_n(M, theta) = MethodCostTotal / n.
-double MethodCostPerNode(const OrientedGraph& g, Method m);
 
 }  // namespace trilist

@@ -1,6 +1,5 @@
 #pragma once
 
-#include "src/algo/op_hook.h"
 #include "src/algo/triangle_sink.h"
 #include "src/algo/vertex_iterator.h"  // OpCounts
 #include "src/graph/oriented_graph.h"
@@ -24,19 +23,12 @@
 /// recorded in binary_searches — the structural disadvantage that removes
 /// them from contention (Section 2.3).
 ///
-/// The optional `hook` attributes scanned elements to nodes the way
-/// Table 1 does: the local range to the node whose list it is, the remote
-/// range to the *remote* endpoint (even though the scan executes inside
-/// another node's outer iteration), so per-node sums reproduce the
-/// local-class + remote-class cost of each node exactly. nullptr — the
-/// default — selects a hook-free instantiation with zero overhead.
-///
-/// Each method has a second overload taking a simd::IntersectEngine,
-/// which routes every intersection through the engine's selected backend
-/// (vectorized merge, hub bitmaps, galloping — see intersect_engine.h).
-/// A null engine, or one configured for the default merge backend,
-/// selects the exact same direct-merge instantiation as the two-argument
-/// form. Triangles and emission order are identical for every backend.
+/// Each method takes an optional simd::IntersectEngine, which routes
+/// every intersection through the engine's selected backend (vectorized
+/// merge, hub bitmaps, galloping — see intersect_engine.h). A null
+/// engine — the default — or one configured for the merge backend selects
+/// the direct-merge instantiation. Triangles and emission order are
+/// identical for every backend.
 ///
 /// E1 and E4 are fundamental: they run the slice kernels of fundamental.h
 /// over the whole iteration space.
@@ -49,33 +41,21 @@ class IntersectEngine;
 
 /// E1: visit z; for y in N+(z), intersect N+(z) below y with N+(y).
 OpCounts RunE1(const OrientedGraph& g, TriangleSink* sink,
-               NodeOpsHook* hook = nullptr);
-OpCounts RunE1(const OrientedGraph& g, TriangleSink* sink,
-               simd::IntersectEngine* engine, NodeOpsHook* hook);
+               simd::IntersectEngine* engine = nullptr);
 /// E2: visit y; for z in N-(y), intersect N+(y) with N+(z) below y.
 OpCounts RunE2(const OrientedGraph& g, TriangleSink* sink,
-               NodeOpsHook* hook = nullptr);
-OpCounts RunE2(const OrientedGraph& g, TriangleSink* sink,
-               simd::IntersectEngine* engine, NodeOpsHook* hook);
+               simd::IntersectEngine* engine = nullptr);
 /// E3: visit x; for y in N-(x), intersect N-(x) above y with N-(y).
 OpCounts RunE3(const OrientedGraph& g, TriangleSink* sink,
-               NodeOpsHook* hook = nullptr);
-OpCounts RunE3(const OrientedGraph& g, TriangleSink* sink,
-               simd::IntersectEngine* engine, NodeOpsHook* hook);
+               simd::IntersectEngine* engine = nullptr);
 /// E4: visit z; for x in N+(z), intersect N+(z) above x with N-(x) below z.
 OpCounts RunE4(const OrientedGraph& g, TriangleSink* sink,
-               NodeOpsHook* hook = nullptr);
-OpCounts RunE4(const OrientedGraph& g, TriangleSink* sink,
-               simd::IntersectEngine* engine, NodeOpsHook* hook);
+               simd::IntersectEngine* engine = nullptr);
 /// E5: visit y; for x in N+(y), intersect N-(y) with N-(x) above y.
 OpCounts RunE5(const OrientedGraph& g, TriangleSink* sink,
-               NodeOpsHook* hook = nullptr);
-OpCounts RunE5(const OrientedGraph& g, TriangleSink* sink,
-               simd::IntersectEngine* engine, NodeOpsHook* hook);
+               simd::IntersectEngine* engine = nullptr);
 /// E6: visit x; for z in N-(x), intersect N-(x) below z with N+(z) above x.
 OpCounts RunE6(const OrientedGraph& g, TriangleSink* sink,
-               NodeOpsHook* hook = nullptr);
-OpCounts RunE6(const OrientedGraph& g, TriangleSink* sink,
-               simd::IntersectEngine* engine, NodeOpsHook* hook);
+               simd::IntersectEngine* engine = nullptr);
 
 }  // namespace trilist

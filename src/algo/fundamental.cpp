@@ -29,13 +29,12 @@ void ForEachRow(Method m, const OrientedGraph& g, Cut lo, Cut hi,
 
 /// T1: visit z, generate pairs x < y from N+(z), verify arc y -> x. The
 /// outer position is the index b of y; the pairs are (a, b) with a < b.
-template <typename Emit, typename Hook>
+template <typename Emit>
 OpCounts SliceT1(const OrientedGraph& g, const DirectedEdgeSet& arcs,
-                 Cut lo, Cut hi, Emit emit, Hook hook) {
+                 Cut lo, Cut hi, Emit emit) {
   OpCounts ops;
   ForEachRow(Method::kT1, g, lo, hi, [&](NodeId z, size_t p0, size_t p1) {
     const auto out = g.OutNeighbors(z);
-    [[maybe_unused]] const int64_t before = ops.candidate_checks;
     // Pairs x < y; lists are sorted, so index order is label order.
     for (size_t b = p0; b < p1; ++b) {
       const NodeId y = out[b];
@@ -48,23 +47,19 @@ OpCounts SliceT1(const OrientedGraph& g, const DirectedEdgeSet& arcs,
         }
       }
     }
-    if constexpr (kHooked<Hook>) {
-      hook->Record(z, ops.candidate_checks - before);
-    }
   });
   return ops;
 }
 
 /// T2: visit y, pair z in N-(y) with x in N+(y), verify arc z -> x. The
 /// outer position is the index of z in N-(y).
-template <typename Emit, typename Hook>
+template <typename Emit>
 OpCounts SliceT2(const OrientedGraph& g, const DirectedEdgeSet& arcs,
-                 Cut lo, Cut hi, Emit emit, Hook hook) {
+                 Cut lo, Cut hi, Emit emit) {
   OpCounts ops;
   ForEachRow(Method::kT2, g, lo, hi, [&](NodeId y, size_t p0, size_t p1) {
     const auto in = g.InNeighbors(y);
     const auto out = g.OutNeighbors(y);
-    [[maybe_unused]] const int64_t before = ops.candidate_checks;
     for (size_t zi = p0; zi < p1; ++zi) {
       const NodeId z = in[zi];
       for (const NodeId x : out) {
@@ -75,72 +70,54 @@ OpCounts SliceT2(const OrientedGraph& g, const DirectedEdgeSet& arcs,
         }
       }
     }
-    if constexpr (kHooked<Hook>) {
-      hook->Record(y, ops.candidate_checks - before);
-    }
   });
   return ops;
 }
 
-// SEI attribution (Table 1): the local range is charged to the node whose
-// list it is (the outer node, accumulated across its arcs); the remote
-// range is charged to the remote endpoint, one Record per arc. Window
-// arguments (intersect_engine.h): [0, y) for E1, (x, z) for E4.
+// Window arguments (intersect_engine.h): [0, y) for E1, (x, z) for E4.
 
 /// E1: visit z; for y in N+(z), intersect N+(z) below y with N+(y).
-template <typename Emit, typename Hook, typename Isect>
+template <typename Emit, typename Isect>
 OpCounts SliceE1(const OrientedGraph& g, Cut lo, Cut hi, Emit emit,
-                 Hook hook, Isect isect) {
+                 Isect isect) {
   OpCounts ops;
   ForEachRow(Method::kE1, g, lo, hi, [&](NodeId z, size_t p0, size_t p1) {
     const auto out = g.OutNeighbors(z);
-    [[maybe_unused]] int64_t local_total = 0;
     for (size_t idx = p0; idx < p1; ++idx) {
       const NodeId y = out[idx];
       const auto local = out.first(idx);  // elements of N+(z) below y
       const auto remote = g.OutNeighbors(y);
       ops.local_scans += static_cast<int64_t>(local.size());
       ops.remote_scans += static_cast<int64_t>(remote.size());
-      if constexpr (kHooked<Hook>) {
-        local_total += static_cast<int64_t>(local.size());
-        hook->Record(y, static_cast<int64_t>(remote.size()));
-      }
       isect(local, {z, true}, remote, {y, true}, 0, y,
             &ops.merge_comparisons, [&](NodeId x) {
               ++ops.triangles;
               emit(x, y, z);
             });
     }
-    if constexpr (kHooked<Hook>) hook->Record(z, local_total);
   });
   return ops;
 }
 
 /// E4: visit z; for x in N+(z), intersect N+(z) above x with N-(x) below z.
-template <typename Emit, typename Hook, typename Isect>
+template <typename Emit, typename Isect>
 OpCounts SliceE4(const OrientedGraph& g, Cut lo, Cut hi, Emit emit,
-                 Hook hook, Isect isect) {
+                 Isect isect) {
   OpCounts ops;
   ForEachRow(Method::kE4, g, lo, hi, [&](NodeId z, size_t p0, size_t p1) {
     const auto out = g.OutNeighbors(z);
-    [[maybe_unused]] int64_t local_total = 0;
     for (size_t idx = p0; idx < p1; ++idx) {
       const NodeId x = out[idx];
       const auto local = out.subspan(idx + 1);  // y candidates above x
       const auto remote = PrefixBelow(g.InNeighbors(x), z);
       ops.local_scans += static_cast<int64_t>(local.size());
       ops.remote_scans += static_cast<int64_t>(remote.size());
-      if constexpr (kHooked<Hook>) {
-        local_total += static_cast<int64_t>(local.size());
-        hook->Record(x, static_cast<int64_t>(remote.size()));
-      }
       isect(local, {z, true}, remote, {x, false}, x + 1, z,
             &ops.merge_comparisons, [&](NodeId y) {
               ++ops.triangles;
               emit(x, y, z);
             });
     }
-    if constexpr (kHooked<Hook>) hook->Record(z, local_total);
   });
   return ops;
 }
@@ -148,48 +125,44 @@ OpCounts SliceE4(const OrientedGraph& g, Cut lo, Cut hi, Emit emit,
 template <typename Emit>
 OpCounts DispatchSlice(Method m, const OrientedGraph& g,
                        const DirectedEdgeSet* arcs, Cut lo, Cut hi,
-                       Emit emit, NodeOpsHook* hook,
-                       simd::IntersectEngine* engine) {
-  return WithHook(hook, [&](auto h) {
-    switch (m) {
-      case Method::kT1: return SliceT1(g, *arcs, lo, hi, emit, h);
-      case Method::kT2: return SliceT2(g, *arcs, lo, hi, emit, h);
-      case Method::kE1:
-        return sei::WithIsect(engine, [&](auto isect) {
-          return SliceE1(g, lo, hi, emit, h, isect);
-        });
-      case Method::kE4:
-        return sei::WithIsect(engine, [&](auto isect) {
-          return SliceE4(g, lo, hi, emit, h, isect);
-        });
-      default: break;
-    }
-    TRILIST_DCHECK(false);
-    return OpCounts{};
-  });
+                       Emit emit, simd::IntersectEngine* engine) {
+  switch (m) {
+    case Method::kT1: return SliceT1(g, *arcs, lo, hi, emit);
+    case Method::kT2: return SliceT2(g, *arcs, lo, hi, emit);
+    case Method::kE1:
+      return sei::WithIsect(engine, [&](auto isect) {
+        return SliceE1(g, lo, hi, emit, isect);
+      });
+    case Method::kE4:
+      return sei::WithIsect(engine, [&](auto isect) {
+        return SliceE4(g, lo, hi, emit, isect);
+      });
+    default: break;
+  }
+  TRILIST_DCHECK(false);
+  return OpCounts{};
 }
 
 }  // namespace
 
 OpCounts RunSlice(Method m, const OrientedGraph& g,
                   const DirectedEdgeSet* arcs, Cut lo, Cut hi,
-                  TriangleSink* sink, NodeOpsHook* hook,
-                  simd::IntersectEngine* engine) {
+                  TriangleSink* sink, simd::IntersectEngine* engine) {
   if (sink == nullptr) {  // count only: ops.triangles is the count
     return DispatchSlice(m, g, arcs, lo, hi, [](NodeId, NodeId, NodeId) {},
-                         hook, engine);
+                         engine);
   }
   return DispatchSlice(
       m, g, arcs, lo, hi,
-      [sink](NodeId x, NodeId y, NodeId z) { sink->Consume(x, y, z); }, hook,
+      [sink](NodeId x, NodeId y, NodeId z) { sink->Consume(x, y, z); },
       engine);
 }
 
 OpCounts RunFundamental(Method m, const OrientedGraph& g,
                         const DirectedEdgeSet* arcs, TriangleSink* sink,
-                        NodeOpsHook* hook, simd::IntersectEngine* engine) {
+                        simd::IntersectEngine* engine) {
   const Cut end{static_cast<NodeId>(g.num_nodes()), 0};
-  return RunSlice(m, g, arcs, Cut{}, end, sink, hook, engine);
+  return RunSlice(m, g, arcs, Cut{}, end, sink, engine);
 }
 
 }  // namespace trilist

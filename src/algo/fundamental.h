@@ -3,7 +3,6 @@
 #include <cstddef>
 
 #include "src/algo/cost.h"
-#include "src/algo/op_hook.h"
 #include "src/algo/triangle_sink.h"
 #include "src/algo/vertex_iterator.h"  // OpCounts
 #include "src/graph/edge_set.h"
@@ -23,9 +22,9 @@
 /// one slice per chunk. Both therefore execute the same loop body, which
 /// is what keeps every counter bit-identical across thread counts.
 ///
-/// A slice is templated on the sink, the NodeOpsHook and the intersection
-/// policy (sei::DirectMerge / sei::EngineIsect), so each combination is
-/// its own devirtualized instantiation. A null sink selects the count-only
+/// A slice is templated on the sink and the intersection policy
+/// (sei::DirectMerge / sei::EngineIsect), so each combination is its own
+/// devirtualized instantiation. A null sink selects the count-only
 /// instantiation: no triangle is emitted, and OpCounts::triangles — exact
 /// for every slice — is the count.
 
@@ -54,19 +53,15 @@ inline size_t OuterLen(Method m, const OrientedGraph& g, NodeId v) {
 ///  - `arcs` is the directed arc set (required by T1/T2, ignored by E1/E4).
 ///  - `sink` receives the slice's triangles in serial order; null counts
 ///    them only.
-///  - `hook` (may be null) receives per-node attributions (op_hook.h).
-///    Every node the slice touches records its share once, empty rows
-///    included, so the whole-space slice records like a plain node loop.
 ///  - `engine` (may be null) routes E1/E4 intersections through its
 ///    backend; null or kMerge selects the direct merge.
 OpCounts RunSlice(Method m, const OrientedGraph& g,
                   const DirectedEdgeSet* arcs, Cut lo, Cut hi,
-                  TriangleSink* sink, NodeOpsHook* hook,
-                  simd::IntersectEngine* engine);
+                  TriangleSink* sink, simd::IntersectEngine* engine);
 
 /// Runs `m` over its whole iteration space — the serial kernel.
 OpCounts RunFundamental(Method m, const OrientedGraph& g,
                         const DirectedEdgeSet* arcs, TriangleSink* sink,
-                        NodeOpsHook* hook, simd::IntersectEngine* engine);
+                        simd::IntersectEngine* engine);
 
 }  // namespace trilist

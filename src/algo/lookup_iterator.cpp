@@ -24,13 +24,11 @@ class MarkerSet {
   uint64_t epoch_ = 0;
 };
 
+}  // namespace
+
 using sei::SuffixAbove;
 
-// Attribution (Table 2): every probe is charged to the node whose list is
-// scanned remotely; hash inserts are excluded from the lookup class.
-
-template <typename Hook>
-OpCounts RunL1Impl(const OrientedGraph& g, TriangleSink* sink, Hook hook) {
+OpCounts RunL1(const OrientedGraph& g, TriangleSink* sink) {
   OpCounts ops;
   const size_t n = g.num_nodes();
   MarkerSet local(n);
@@ -44,9 +42,6 @@ OpCounts RunL1Impl(const OrientedGraph& g, TriangleSink* sink, Hook hook) {
     }
     for (const NodeId y : out) {
       const auto remote = g.OutNeighbors(y);
-      if constexpr (kHooked<Hook>) {
-        hook->Record(y, static_cast<int64_t>(remote.size()));
-      }
       for (const NodeId x : remote) {
         ++ops.lookups;
         if (local.Contains(x)) {
@@ -59,8 +54,7 @@ OpCounts RunL1Impl(const OrientedGraph& g, TriangleSink* sink, Hook hook) {
   return ops;
 }
 
-template <typename Hook>
-OpCounts RunL2Impl(const OrientedGraph& g, TriangleSink* sink, Hook hook) {
+OpCounts RunL2(const OrientedGraph& g, TriangleSink* sink) {
   OpCounts ops;
   const size_t n = g.num_nodes();
   MarkerSet local(n);
@@ -72,24 +66,20 @@ OpCounts RunL2Impl(const OrientedGraph& g, TriangleSink* sink, Hook hook) {
       ++ops.hash_inserts;
     }
     for (const NodeId z : g.InNeighbors(y)) {
-      [[maybe_unused]] int64_t probes = 0;
       for (const NodeId x : g.OutNeighbors(z)) {
         if (x >= y) break;  // sorted: prefix below y only
         ++ops.lookups;
-        if constexpr (kHooked<Hook>) ++probes;
         if (local.Contains(x)) {
           ++ops.triangles;
           sink->Consume(x, y, z);
         }
       }
-      if constexpr (kHooked<Hook>) hook->Record(z, probes);
     }
   }
   return ops;
 }
 
-template <typename Hook>
-OpCounts RunL3Impl(const OrientedGraph& g, TriangleSink* sink, Hook hook) {
+OpCounts RunL3(const OrientedGraph& g, TriangleSink* sink) {
   OpCounts ops;
   const size_t n = g.num_nodes();
   MarkerSet local(n);
@@ -103,9 +93,6 @@ OpCounts RunL3Impl(const OrientedGraph& g, TriangleSink* sink, Hook hook) {
     }
     for (const NodeId y : in) {
       const auto remote = g.InNeighbors(y);
-      if constexpr (kHooked<Hook>) {
-        hook->Record(y, static_cast<int64_t>(remote.size()));
-      }
       for (const NodeId z : remote) {
         ++ops.lookups;
         if (local.Contains(z)) {
@@ -118,8 +105,7 @@ OpCounts RunL3Impl(const OrientedGraph& g, TriangleSink* sink, Hook hook) {
   return ops;
 }
 
-template <typename Hook>
-OpCounts RunL4Impl(const OrientedGraph& g, TriangleSink* sink, Hook hook) {
+OpCounts RunL4(const OrientedGraph& g, TriangleSink* sink) {
   OpCounts ops;
   const size_t n = g.num_nodes();
   MarkerSet local(n);
@@ -132,24 +118,20 @@ OpCounts RunL4Impl(const OrientedGraph& g, TriangleSink* sink, Hook hook) {
       ++ops.hash_inserts;
     }
     for (const NodeId x : out) {
-      [[maybe_unused]] int64_t probes = 0;
       for (const NodeId y : g.InNeighbors(x)) {
         if (y >= z) break;  // sorted: prefix below z only
         ++ops.lookups;
-        if constexpr (kHooked<Hook>) ++probes;
         if (local.Contains(y)) {
           ++ops.triangles;
           sink->Consume(x, y, z);
         }
       }
-      if constexpr (kHooked<Hook>) hook->Record(x, probes);
     }
   }
   return ops;
 }
 
-template <typename Hook>
-OpCounts RunL5Impl(const OrientedGraph& g, TriangleSink* sink, Hook hook) {
+OpCounts RunL5(const OrientedGraph& g, TriangleSink* sink) {
   OpCounts ops;
   const size_t n = g.num_nodes();
   MarkerSet local(n);
@@ -163,9 +145,6 @@ OpCounts RunL5Impl(const OrientedGraph& g, TriangleSink* sink, Hook hook) {
     for (const NodeId x : g.OutNeighbors(y)) {
       ++ops.binary_searches;
       const auto remote = SuffixAbove(g.InNeighbors(x), y);
-      if constexpr (kHooked<Hook>) {
-        hook->Record(x, static_cast<int64_t>(remote.size()));
-      }
       for (const NodeId z : remote) {
         ++ops.lookups;
         if (local.Contains(z)) {
@@ -178,8 +157,7 @@ OpCounts RunL5Impl(const OrientedGraph& g, TriangleSink* sink, Hook hook) {
   return ops;
 }
 
-template <typename Hook>
-OpCounts RunL6Impl(const OrientedGraph& g, TriangleSink* sink, Hook hook) {
+OpCounts RunL6(const OrientedGraph& g, TriangleSink* sink) {
   OpCounts ops;
   const size_t n = g.num_nodes();
   MarkerSet local(n);
@@ -194,9 +172,6 @@ OpCounts RunL6Impl(const OrientedGraph& g, TriangleSink* sink, Hook hook) {
     for (const NodeId z : in) {
       ++ops.binary_searches;
       const auto remote = SuffixAbove(g.OutNeighbors(z), x);
-      if constexpr (kHooked<Hook>) {
-        hook->Record(z, static_cast<int64_t>(remote.size()));
-      }
       for (const NodeId y : remote) {
         ++ops.lookups;
         if (local.Contains(y)) {
@@ -207,44 +182,6 @@ OpCounts RunL6Impl(const OrientedGraph& g, TriangleSink* sink, Hook hook) {
     }
   }
   return ops;
-}
-
-}  // namespace
-
-OpCounts RunL1(const OrientedGraph& g, TriangleSink* sink,
-               NodeOpsHook* hook) {
-  return hook != nullptr ? RunL1Impl(g, sink, hook)
-                         : RunL1Impl(g, sink, NoHook{});
-}
-
-OpCounts RunL2(const OrientedGraph& g, TriangleSink* sink,
-               NodeOpsHook* hook) {
-  return hook != nullptr ? RunL2Impl(g, sink, hook)
-                         : RunL2Impl(g, sink, NoHook{});
-}
-
-OpCounts RunL3(const OrientedGraph& g, TriangleSink* sink,
-               NodeOpsHook* hook) {
-  return hook != nullptr ? RunL3Impl(g, sink, hook)
-                         : RunL3Impl(g, sink, NoHook{});
-}
-
-OpCounts RunL4(const OrientedGraph& g, TriangleSink* sink,
-               NodeOpsHook* hook) {
-  return hook != nullptr ? RunL4Impl(g, sink, hook)
-                         : RunL4Impl(g, sink, NoHook{});
-}
-
-OpCounts RunL5(const OrientedGraph& g, TriangleSink* sink,
-               NodeOpsHook* hook) {
-  return hook != nullptr ? RunL5Impl(g, sink, hook)
-                         : RunL5Impl(g, sink, NoHook{});
-}
-
-OpCounts RunL6(const OrientedGraph& g, TriangleSink* sink,
-               NodeOpsHook* hook) {
-  return hook != nullptr ? RunL6Impl(g, sink, hook)
-                         : RunL6Impl(g, sink, NoHook{});
 }
 
 }  // namespace trilist

@@ -1,6 +1,5 @@
 #pragma once
 
-#include "src/algo/op_hook.h"
 #include "src/algo/triangle_sink.h"
 #include "src/algo/vertex_iterator.h"  // OpCounts
 #include "src/graph/oriented_graph.h"
@@ -22,32 +21,20 @@
 /// cost- and speed-equivalent to vertex iterators (Section 2.3), which is
 /// why the paper folds LEI into VI after this point; we implement it fully
 /// so that equivalence is *tested* rather than assumed.
-///
-/// The optional `hook` attributes each probe to the node Table 2's lookup
-/// class charges: the node whose list is being scanned remotely. Build
-/// (hash-insert) operations are excluded, exactly as Table 2 excludes the
-/// m-insert term from the lookup class. nullptr — the default — selects
-/// a hook-free instantiation with zero overhead.
 
 namespace trilist {
 
 /// L1: hash N+(z); for y in N+(z), probe every w in N+(y).
-OpCounts RunL1(const OrientedGraph& g, TriangleSink* sink,
-               NodeOpsHook* hook = nullptr);
+OpCounts RunL1(const OrientedGraph& g, TriangleSink* sink);
 /// L2: hash N+(y); for z in N-(y), probe elements of N+(z) below y.
-OpCounts RunL2(const OrientedGraph& g, TriangleSink* sink,
-               NodeOpsHook* hook = nullptr);
+OpCounts RunL2(const OrientedGraph& g, TriangleSink* sink);
 /// L3: hash N-(x); for y in N-(x), probe every w in N-(y).
-OpCounts RunL3(const OrientedGraph& g, TriangleSink* sink,
-               NodeOpsHook* hook = nullptr);
+OpCounts RunL3(const OrientedGraph& g, TriangleSink* sink);
 /// L4: hash N+(z); for x in N+(z), probe elements of N-(x) below z.
-OpCounts RunL4(const OrientedGraph& g, TriangleSink* sink,
-               NodeOpsHook* hook = nullptr);
+OpCounts RunL4(const OrientedGraph& g, TriangleSink* sink);
 /// L5: hash N-(y); for x in N+(y), probe elements of N-(x) above y.
-OpCounts RunL5(const OrientedGraph& g, TriangleSink* sink,
-               NodeOpsHook* hook = nullptr);
+OpCounts RunL5(const OrientedGraph& g, TriangleSink* sink);
 /// L6: hash N-(x); for z in N-(x), probe elements of N+(z) above x.
-OpCounts RunL6(const OrientedGraph& g, TriangleSink* sink,
-               NodeOpsHook* hook = nullptr);
+OpCounts RunL6(const OrientedGraph& g, TriangleSink* sink);
 
 }  // namespace trilist

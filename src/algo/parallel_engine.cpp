@@ -147,8 +147,7 @@ OpCounts RunMethodParallel(Method m, const OrientedGraph& g,
     span.Arg("v_begin", static_cast<int64_t>(cuts[c].node));
     simd::IntersectEngine engine(policy.intersect, index.get());
     ops[c] = RunSlice(m, g, &arcs, cuts[c], cuts[c + 1],
-                      counter != nullptr ? nullptr : &buffers[c], nullptr,
-                      &engine);
+                      counter != nullptr ? nullptr : &buffers[c], &engine);
     span.Arg("ops", ops[c].PaperCost());
   });
   OpCounts total;

@@ -13,18 +13,17 @@ namespace {
 /// Serial SEI dispatch under a non-default intersection backend: one
 /// engine (and, for kBitmap, one index) per run, shared by every arc.
 OpCounts RunSeiWithPolicy(Method m, const OrientedGraph& g,
-                          TriangleSink* sink, const ExecPolicy& exec,
-                          NodeOpsHook* hook) {
+                          TriangleSink* sink, const ExecPolicy& exec) {
   const std::shared_ptr<const simd::BitmapIndex> index =
       simd::EnsureBitmapIndex(exec, g);
   simd::IntersectEngine engine(exec.intersect, index.get());
   switch (m) {
-    case Method::kE1: return RunE1(g, sink, &engine, hook);
-    case Method::kE2: return RunE2(g, sink, &engine, hook);
-    case Method::kE3: return RunE3(g, sink, &engine, hook);
-    case Method::kE4: return RunE4(g, sink, &engine, hook);
-    case Method::kE5: return RunE5(g, sink, &engine, hook);
-    case Method::kE6: return RunE6(g, sink, &engine, hook);
+    case Method::kE1: return RunE1(g, sink, &engine);
+    case Method::kE2: return RunE2(g, sink, &engine);
+    case Method::kE3: return RunE3(g, sink, &engine);
+    case Method::kE4: return RunE4(g, sink, &engine);
+    case Method::kE5: return RunE5(g, sink, &engine);
+    case Method::kE6: return RunE6(g, sink, &engine);
     default: break;
   }
   TRILIST_DCHECK(false);
@@ -67,38 +66,12 @@ OpCounts RunMethod(Method m, const OrientedGraph& g,
   return OpCounts{};
 }
 
-OpCounts RunMethodProfiled(Method m, const OrientedGraph& g,
-                           const DirectedEdgeSet& arcs, TriangleSink* sink,
-                           NodeOpsHook* hook) {
-  switch (m) {
-    case Method::kT1: return RunT1(g, arcs, sink, hook);
-    case Method::kT2: return RunT2(g, arcs, sink, hook);
-    case Method::kT3: return RunT3(g, arcs, sink, hook);
-    case Method::kT4: return RunT4(g, arcs, sink, hook);
-    case Method::kT5: return RunT5(g, arcs, sink, hook);
-    case Method::kT6: return RunT6(g, arcs, sink, hook);
-    case Method::kE1: return RunE1(g, sink, hook);
-    case Method::kE2: return RunE2(g, sink, hook);
-    case Method::kE3: return RunE3(g, sink, hook);
-    case Method::kE4: return RunE4(g, sink, hook);
-    case Method::kE5: return RunE5(g, sink, hook);
-    case Method::kE6: return RunE6(g, sink, hook);
-    case Method::kL1: return RunL1(g, sink, hook);
-    case Method::kL2: return RunL2(g, sink, hook);
-    case Method::kL3: return RunL3(g, sink, hook);
-    case Method::kL4: return RunL4(g, sink, hook);
-    case Method::kL5: return RunL5(g, sink, hook);
-    case Method::kL6: return RunL6(g, sink, hook);
-  }
-  return OpCounts{};
-}
-
 OpCounts RunMethod(Method m, const OrientedGraph& g, TriangleSink* sink,
                    const ExecPolicy& exec) {
   if (exec.threads > 1) return RunMethodParallel(m, g, sink, exec);
   if (MethodFamily(m) == Family::kScanningEdgeIterator &&
       exec.intersect != IntersectBackend::kMerge) {
-    return RunSeiWithPolicy(m, g, sink, exec, nullptr);
+    return RunSeiWithPolicy(m, g, sink, exec);
   }
   return RunMethod(m, g, sink);
 }
@@ -109,19 +82,9 @@ OpCounts RunMethod(Method m, const OrientedGraph& g,
   if (exec.threads > 1) return RunMethodParallel(m, g, arcs, sink, exec);
   if (MethodFamily(m) == Family::kScanningEdgeIterator &&
       exec.intersect != IntersectBackend::kMerge) {
-    return RunSeiWithPolicy(m, g, sink, exec, nullptr);
+    return RunSeiWithPolicy(m, g, sink, exec);
   }
   return RunMethod(m, g, arcs, sink);
-}
-
-OpCounts RunMethodProfiled(Method m, const OrientedGraph& g,
-                           const DirectedEdgeSet& arcs, TriangleSink* sink,
-                           NodeOpsHook* hook, const ExecPolicy& exec) {
-  if (MethodFamily(m) == Family::kScanningEdgeIterator &&
-      exec.intersect != IntersectBackend::kMerge) {
-    return RunSeiWithPolicy(m, g, sink, exec, hook);
-  }
-  return RunMethodProfiled(m, g, arcs, sink, hook);
 }
 
 }  // namespace trilist

@@ -34,22 +34,4 @@ OpCounts RunMethod(Method m, const OrientedGraph& g,
                    const DirectedEdgeSet& arcs, TriangleSink* sink,
                    const ExecPolicy& exec);
 
-/// Runs `m` serially with a per-node op hook attached, so callers can
-/// attribute measured work to individual nodes (see op_hook.h for the
-/// attribution rules). The hook path always runs serial: attribution is
-/// a profiling pass, and a serial pass keeps Record() free of
-/// synchronization. `hook` must be non-null.
-OpCounts RunMethodProfiled(Method m, const OrientedGraph& g,
-                           const DirectedEdgeSet& arcs, TriangleSink* sink,
-                           NodeOpsHook* hook);
-
-/// Profiled run honoring the policy's intersection backend for the
-/// scanning edge iterators (still serial; exec.threads is ignored). The
-/// attribution invariant — per-node sums equal PaperCost — holds for
-/// every backend, because attribution records span lengths, which no
-/// intersection algorithm changes.
-OpCounts RunMethodProfiled(Method m, const OrientedGraph& g,
-                           const DirectedEdgeSet& arcs, TriangleSink* sink,
-                           NodeOpsHook* hook, const ExecPolicy& exec);
-
 }  // namespace trilist

@@ -1,7 +1,6 @@
 #pragma once
 
 #include "src/algo/cost.h"
-#include "src/algo/op_hook.h"
 #include "src/algo/triangle_sink.h"
 #include "src/graph/edge_set.h"
 #include "src/graph/oriented_graph.h"
@@ -17,10 +16,6 @@
 ///   T3/T6: C(Y_i, 2)   (start at x, pair in-neighbors)
 /// T4-T6 differ from T1-T3 only in the visiting order of the last two
 /// nodes; their costs are identical (the equivalence classes of Figure 2).
-///
-/// The optional `hook` reports each visited node's candidate-check count
-/// (the per-node class cost above) to the observability layer; nullptr —
-/// the default — selects a hook-free instantiation with zero overhead.
 ///
 /// T1 and T2 are fundamental: they run the slice kernels of fundamental.h
 /// over the whole iteration space.
@@ -51,21 +46,21 @@ struct OpCounts {
 
 /// T1: visit z, generate pairs x < y from N+(z), verify arc y -> x.
 OpCounts RunT1(const OrientedGraph& g, const DirectedEdgeSet& arcs,
-               TriangleSink* sink, NodeOpsHook* hook = nullptr);
+               TriangleSink* sink);
 /// T2: visit y, pair z in N-(y) with x in N+(y), verify arc z -> x.
 OpCounts RunT2(const OrientedGraph& g, const DirectedEdgeSet& arcs,
-               TriangleSink* sink, NodeOpsHook* hook = nullptr);
+               TriangleSink* sink);
 /// T3: visit x, generate pairs y < z from N-(x), verify arc z -> y.
 OpCounts RunT3(const OrientedGraph& g, const DirectedEdgeSet& arcs,
-               TriangleSink* sink, NodeOpsHook* hook = nullptr);
+               TriangleSink* sink);
 /// T4: as T1 with the pair loop inverted (x outer, y inner).
 OpCounts RunT4(const OrientedGraph& g, const DirectedEdgeSet& arcs,
-               TriangleSink* sink, NodeOpsHook* hook = nullptr);
+               TriangleSink* sink);
 /// T5: as T2 with the loops swapped (x outer, z inner).
 OpCounts RunT5(const OrientedGraph& g, const DirectedEdgeSet& arcs,
-               TriangleSink* sink, NodeOpsHook* hook = nullptr);
+               TriangleSink* sink);
 /// T6: as T3 with the pair loop inverted (z outer, y inner).
 OpCounts RunT6(const OrientedGraph& g, const DirectedEdgeSet& arcs,
-               TriangleSink* sink, NodeOpsHook* hook = nullptr);
+               TriangleSink* sink);
 
 }  // namespace trilist

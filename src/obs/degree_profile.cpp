@@ -1,7 +1,6 @@
 #include "src/obs/degree_profile.h"
 
 #include <cmath>
-#include <numeric>
 #include <sstream>
 
 #include "src/core/h_function.h"
@@ -29,10 +28,6 @@ int64_t BucketMaxDegree(int bucket) {
   return (int64_t{1} << bucket) - 1;
 }
 
-int64_t NodeOpsRecorder::Total() const {
-  return std::accumulate(ops_.begin(), ops_.end(), int64_t{0});
-}
-
 double DegreeBucket::Residual() const {
   if (predicted_ops <= 0) {
     return predicted_ops == 0 && measured_ops == 0
@@ -48,8 +43,7 @@ double DegreeProfile::TotalResidual() const {
          total_predicted;
 }
 
-DegreeProfile BuildDegreeProfile(Method m, const OrientedGraph& g,
-                                 const std::vector<int64_t>& node_ops) {
+DegreeProfile BuildDegreeProfile(Method m, const OrientedGraph& g) {
   DegreeProfile profile;
   profile.method = m;
   const size_t n = g.num_nodes();
@@ -67,7 +61,7 @@ DegreeProfile BuildDegreeProfile(Method m, const OrientedGraph& g,
       }
     }
     DegreeBucket& slot = profile.buckets[static_cast<size_t>(bucket)];
-    const int64_t measured = i < node_ops.size() ? node_ops[i] : 0;
+    const int64_t measured = NodeCost(m, g.OutDegree(v), g.InDegree(v));
     ++slot.nodes;
     slot.measured_ops += measured;
     profile.total_measured += measured;

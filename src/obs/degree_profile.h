@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "src/algo/cost.h"
-#include "src/algo/op_hook.h"
 #include "src/graph/oriented_graph.h"
 #include "src/util/json_writer.h"
 
@@ -14,12 +13,19 @@
 /// between the paper's closed-form per-node cost g(d_i) h(q_i)
 /// (Proposition 4) and the operations a kernel actually executed.
 ///
-/// A profiling run attaches a NodeOpsRecorder to one of the 18 kernels
-/// (see op_hook.h for the attribution rules), then BuildDegreeProfile
-/// groups nodes into log2 degree buckets and accumulates, per bucket:
+/// Every kernel operation is charged to one node by Tables 1-2: a node
+/// with oriented degrees (X, Y) costs C(X,2), X*Y or C(Y,2) per class, and
+/// scanning edge iterators add a remote class to the local one
+/// (NodeCost in src/algo/cost.h). That per-node cost is a function of the
+/// realized orientation alone, so BuildDegreeProfile reads it off the
+/// degrees in O(n), groups nodes into log2 degree buckets and
+/// accumulates, per bucket:
 ///
-///   measured   sum of hook-recorded ops over nodes in the bucket
+///   measured   sum of NodeCost(M, X_i, Y_i): the realized per-node cost
 ///   predicted  sum of g(d_i) h_M(q_i) with q_i = X_i / d_i realized
+///
+/// The measured total equals the listing pass's OpCounts::PaperCost();
+/// the runner checks that on every profiled run.
 ///
 /// The relative residual (measured - predicted) / predicted per bucket is
 /// the paper's model error localized by degree: a heavy-tailed graph whose
@@ -39,30 +45,13 @@ int DegreeBucketIndex(int64_t d);
 int64_t BucketMinDegree(int bucket);
 int64_t BucketMaxDegree(int bucket);
 
-/// \brief Hook that accumulates per-node measured operations.
-///
-/// Single-threaded by design: RunMethodProfiled always runs serial, so
-/// Record needs no synchronization.
-class NodeOpsRecorder final : public NodeOpsHook {
- public:
-  explicit NodeOpsRecorder(size_t num_nodes) : ops_(num_nodes, 0) {}
-
-  void Record(NodeId v, int64_t ops) override { ops_[v] += ops; }
-
-  const std::vector<int64_t>& ops() const { return ops_; }
-  int64_t Total() const;
-
- private:
-  std::vector<int64_t> ops_;
-};
-
 /// One log2-degree bucket of the residual histogram.
 struct DegreeBucket {
   int bucket = 0;            ///< log2 bucket index
   int64_t d_min = 0;         ///< smallest degree the bucket covers
   int64_t d_max = 0;         ///< largest degree the bucket covers
   int64_t nodes = 0;         ///< population of the bucket
-  int64_t measured_ops = 0;  ///< hook-recorded operations
+  int64_t measured_ops = 0;  ///< realized per-node cost (NodeCost)
   double predicted_ops = 0;  ///< sum g(d_i) h_M(q_i)
 
   /// (measured - predicted) / predicted; 0 when both sides are ~0, and
@@ -81,11 +70,10 @@ struct DegreeProfile {
   double TotalResidual() const;
 };
 
-/// Groups `node_ops` (indexed by label, as filled by NodeOpsRecorder) into
-/// log2 total-degree buckets and pairs each with the closed-form
-/// prediction g(d_i) h_M(q_i) evaluated on the realized orientation.
-DegreeProfile BuildDegreeProfile(Method m, const OrientedGraph& g,
-                                 const std::vector<int64_t>& node_ops);
+/// Groups the nodes of `g` into log2 total-degree buckets, summing each
+/// node's realized cost NodeCost(m, X_i, Y_i) and its closed-form
+/// prediction g(d_i) h_M(q_i) per bucket. O(n); lists nothing.
+DegreeProfile BuildDegreeProfile(Method m, const OrientedGraph& g);
 
 /// Appends the profile as a JSON object on `w` (deterministic layout,
 /// golden-testable; used by the run-report v2 exporter).

@@ -145,7 +145,8 @@ std::string RunReportToPrometheus(const RunReport& report) {
 
   if (!report.degree_profiles.empty()) {
     w.Gauge("trilist_degree_bucket_measured_ops",
-            "Hook-measured operations per log2-degree bucket");
+            "Realized per-node paper-metric operations per log2-degree "
+            "bucket");
     for (const DegreeProfile& p : report.degree_profiles) {
       for (const DegreeBucket& b : p.buckets) {
         w.Sample("trilist_degree_bucket_measured_ops",

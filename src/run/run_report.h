@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "src/algo/cost.h"
-#include "src/algo/triangle_sink.h"
 #include "src/algo/vertex_iterator.h"
 #include "src/obs/degree_profile.h"
 #include "src/util/metrics.h"
@@ -59,8 +58,6 @@ struct MethodReport {
   double wall_s = 0;         ///< best listing wall time across repeats.
   double wall_total_s = 0;   ///< summed listing wall across repeats.
   bool parallel = false;     ///< ran on the parallel engine.
-  /// Collected triangles when RunSpec::sink == kCollect (else empty).
-  std::vector<Triangle> listed;
 };
 
 /// \brief The query planner's audit trail for one run (schema v4 "plan").

@@ -92,12 +92,6 @@ struct GraphSource {
   }
 };
 
-/// What the Runner does with listed triangles.
-enum class SinkKind {
-  kCount,    ///< count only (the default; no storage).
-  kCollect,  ///< store every triangle in the report (small graphs only).
-};
-
 /// Which RunSpec axes the cost-model planner (src/run/planner.h) is free
 /// to choose. With any flag set, the Runner inserts a "plan" stage that
 /// prices the free axes against the realized degree sequence and
@@ -129,14 +123,12 @@ struct RunSpec {
   /// Listing repetitions per method; the report keeps the best wall time
   /// and verifies triangle counts agree across repeats.
   int repeats = 1;
-  /// Triangle consumer.
-  SinkKind sink = SinkKind::kCount;
   /// Seed of the generator RNG (kGenerate sources).
   uint64_t seed = 1;
-  /// Run an extra serial profiling pass per method with the per-node op
-  /// hook attached and attach degree-bucketed model-residual histograms
-  /// (see src/obs/degree_profile.h) to the report. The timed listing
-  /// passes above stay hook-free.
+  /// Attach one degree-bucketed model-residual histogram per method
+  /// (see src/obs/degree_profile.h) to the report: an O(n) pass over the
+  /// oriented degrees after listing, checked against the listing's
+  /// paper-metric ops. Nothing is listed twice.
   bool degree_profile = false;
   /// Memory budget for the listing stage, in bytes; 0 (default) runs
   /// fully in memory. When positive, E1/E2 execute through the

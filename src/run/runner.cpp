@@ -211,7 +211,7 @@ OrientedGraph OrientStages(const Graph& graph, const OrientSpec& orient,
 
 Status ListOnOriented(const OrientedGraph& oriented,
                       const std::vector<Method>& methods,
-                      const ExecPolicy& exec_in, int repeats, SinkKind sink,
+                      const ExecPolicy& exec_in, int repeats,
                       RunReport* report, int64_t mem_budget_bytes,
                       const MmapFile* paged_file) {
   // Out-of-core mode: only the scanning edge iterators with partitioned
@@ -280,11 +280,6 @@ Status ListOnOriented(const OrientedGraph& oriented,
     bool first = true;
     for (int rep = 0; rep < repeats; ++rep) {
       CountingSink counting;
-      CollectingSink collecting;
-      TriangleSink* triangle_sink =
-          sink == SinkKind::kCollect
-              ? static_cast<TriangleSink*>(&collecting)
-              : &counting;
       obs::TraceSpan span(MethodName(m));
       span.Arg("stage", "list");
       span.Arg("repeat", static_cast<int64_t>(rep));
@@ -300,10 +295,10 @@ Status ListOnOriented(const OrientedGraph& oriented,
         PassObserver* observer = evictor ? &*evictor : nullptr;
         IoStats io;
         ops = m == Method::kE1
-                  ? RunPartitionedE1(oriented, split->parts, triangle_sink,
-                                     &io, observer)
-                  : RunPartitionedE2(oriented, split->parts, triangle_sink,
-                                     &io, observer);
+                  ? RunPartitionedE1(oriented, split->parts, &counting, &io,
+                                     observer)
+                  : RunPartitionedE2(oriented, split->parts, &counting, &io,
+                                     observer);
         if (rep == 0) {
           report->io.passes += io.passes;
           report->io.bytes_loaded += io.bytes_loaded;
@@ -312,24 +307,18 @@ Status ListOnOriented(const OrientedGraph& oriented,
         }
       } else {
         ops = MethodFamily(m) == Family::kVertexIterator
-                  ? RunMethod(m, oriented, *arcs, triangle_sink, exec)
-                  : RunMethod(m, oriented, triangle_sink, exec);
+                  ? RunMethod(m, oriented, *arcs, &counting, exec)
+                  : RunMethod(m, oriented, &counting, exec);
       }
       const double wall = timer.ElapsedSeconds();
       span.Arg("ops", ops.PaperCost());
-      const uint64_t triangles =
-          sink == SinkKind::kCollect
-              ? collecting.triangles().size()
-              : counting.count();
+      const uint64_t triangles = counting.count();
       span.Arg("triangles", static_cast<int64_t>(triangles));
       mr.wall_total_s += wall;
       if (first || wall < mr.wall_s) mr.wall_s = wall;
       if (first) {
         mr.triangles = triangles;
         mr.ops = ops;
-        if (sink == SinkKind::kCollect) {
-          mr.listed = collecting.triangles();
-        }
       } else if (mr.triangles != triangles) {
         return Status::Internal(
             std::string("triangle count diverged across repeats for ") +
@@ -353,7 +342,7 @@ Result<uint64_t> CountTrianglesWithMethod(const Graph& g, Method m,
   exec.threads = resolved;
   RunReport report;
   TRILIST_RETURN_NOT_OK(
-      ListOnOriented(oriented, {m}, exec, 1, SinkKind::kCount, &report));
+      ListOnOriented(oriented, {m}, exec, 1, &report));
   return report.methods.front().triangles;
 }
 
@@ -460,8 +449,8 @@ Result<RunReport> RunPipeline(const RunSpec& spec) {
 
   // 4-5. Arc-set build + listing with every requested method.
   const Status listed =
-      ListOnOriented(oriented, methods, exec, repeats, spec.sink,
-                     &report, spec.mem_budget_bytes,
+      ListOnOriented(oriented, methods, exec, repeats, &report,
+                     spec.mem_budget_bytes,
                      cached != nullptr && acquired->tlg->paged()
                          ? acquired->tlg->backing()
                          : nullptr);
@@ -478,34 +467,31 @@ Result<RunReport> RunPipeline(const RunSpec& spec) {
     }
   }
 
-  // 6. Optional model-residual pass: re-run each method serially with the
-  // per-node op hook attached and bucket measured work against the
-  // closed-form g(d)h(q). Separate pass so the timed listing above stays
-  // on the hook-free instantiations.
+  // 6. Optional model-residual pass: bucket each method's realized
+  // per-node cost (Tables 1-2 on the oriented degrees, O(n)) against the
+  // closed-form g(d)h(q). The listing above counted the same operations,
+  // so the two totals must agree; a mismatch is a kernel/model bug.
   if (spec.degree_profile) {
-    // The profile pass owns its arc set (the listing one lives inside
-    // ListOnOriented); its build time is accounted to "profile".
-    const bool needs_arcs = std::any_of(
-        methods.begin(), methods.end(), [](Method m) {
-          return MethodFamily(m) == Family::kVertexIterator;
-        });
-    std::optional<DirectedEdgeSet> arcs;
-    const DirectedEdgeSet empty_arcs{OrientedGraph()};
+    Status profiled;
     report.stages.Time("profile", [&] {
-      if (needs_arcs) arcs.emplace(oriented);
-      for (Method m : methods) {
-        obs::TraceSpan span(MethodName(m));
+      for (const MethodReport& mr : report.methods) {
+        obs::TraceSpan span(MethodName(mr.method));
         span.Arg("stage", "profile");
-        obs::NodeOpsRecorder recorder(oriented.num_nodes());
-        CountingSink counting;
-        RunMethodProfiled(m, oriented,
-                          arcs.has_value() ? *arcs : empty_arcs, &counting,
-                          &recorder, exec);
-        span.Arg("ops", recorder.Total());
-        report.degree_profiles.push_back(
-            obs::BuildDegreeProfile(m, oriented, recorder.ops()));
+        obs::DegreeProfile profile =
+            obs::BuildDegreeProfile(mr.method, oriented);
+        span.Arg("ops", profile.total_measured);
+        if (profile.total_measured != mr.ops.PaperCost()) {
+          profiled = Status::Internal(
+              std::string("degree profile of ") + MethodName(mr.method) +
+              " charges " + std::to_string(profile.total_measured) +
+              " ops, the listing counted " +
+              std::to_string(mr.ops.PaperCost()));
+          return;
+        }
+        report.degree_profiles.push_back(std::move(profile));
       }
     });
+    if (!profiled.ok()) return profiled;
   }
 
   report.peak_rss_bytes = PeakRssBytes();

@@ -25,6 +25,9 @@
 ///   5. runs every requested method through the registry
 ///      (serial or parallel engine per ExecPolicy, identical
 ///      results either way)                                  ["list"],
+///   6. with RunSpec::degree_profile, buckets each method's
+///      per-node cost (NodeCost on the oriented degrees) and
+///      fails with Internal unless it sums to the listed ops  ["profile"],
 ///
 /// and returns a RunReport with per-stage wall clocks, per-method
 /// operation counters and process resource gauges. The graph-acquisition
@@ -85,7 +88,7 @@ OrientedGraph OrientStages(const Graph& graph, const OrientSpec& orient,
 /// window behind the cursor, so the whole run stays under B.
 Status ListOnOriented(const OrientedGraph& oriented,
                       const std::vector<Method>& methods,
-                      const ExecPolicy& exec, int repeats, SinkKind sink,
+                      const ExecPolicy& exec, int repeats,
                       RunReport* report, int64_t mem_budget_bytes = 0,
                       const MmapFile* paged_file = nullptr);
 

@@ -46,16 +46,8 @@ void ExportHistogram(obs::PromWriter* w, const std::string& name,
 }  // namespace
 
 TriangleServer::TriangleServer(const ServerOptions& options)
-    : options_(options) {
-  CatalogOptions catalog_options;
-  catalog_options.capacity = options.catalog_capacity;
-  catalog_options.root = options.graph_root;
-  catalog_options.named = options.named_graphs;
-  catalog_options.paged = options.paged_catalog;
-  catalog_options.compact_overlay_fraction =
-      options.compact_overlay_fraction;
-  catalog_options.compact_min_arcs = options.compact_min_arcs;
-  catalog_ = std::make_unique<GraphCatalog>(std::move(catalog_options));
+    : options_(options),
+      catalog_(std::make_unique<GraphCatalog>(options.catalog)) {
   resolved_workers_ = ResolveThreads(options.workers);
   max_query_threads_ = ResolveThreads(options.max_query_threads);
 }
@@ -491,7 +483,7 @@ void TriangleServer::Execute(Pending pending) {
   exec.threads = threads;
   const Status listed =
       ListOnOriented(oriented.oriented, request.methods, exec,
-                     request.repeats, SinkKind::kCount, &report);
+                     request.repeats, &report);
   if (!listed.ok()) {
     ReplyError(pending.conn, ErrorCode::kInternal, listed.message());
     return;

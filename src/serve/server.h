@@ -85,15 +85,9 @@ struct ServerOptions {
   /// long instead of wedging a worker forever (<= 0 disables).
   double send_timeout_s = 30;
 
-  /// Graph registry (see CatalogOptions).
-  size_t catalog_capacity = 8;
-  std::string graph_root;
-  std::map<std::string, std::string> named_graphs;
-  /// Open `.tlg` graphs demand-paged (CatalogOptions::paged).
-  bool paged_catalog = false;
-  /// Mutation compaction trigger (CatalogOptions equivalents).
-  double compact_overlay_fraction = 0.25;
-  size_t compact_min_arcs = 4096;
+  /// Graph registry: capacity, name resolution, paging and the mutation
+  /// compaction trigger.
+  CatalogOptions catalog;
 
   /// Test-only: every worker sleeps this long before executing a
   /// request, making queue states reproducible in the backpressure and

@@ -9,13 +9,11 @@ std::vector<double> MeasurePerNodeCosts(const Graph& g,
                                         const std::vector<Method>& methods,
                                         PermutationKind kind, Rng* rng) {
   const OrientedGraph og = OrientNamed(g, kind, rng);
-  const std::vector<int64_t> x = og.OutDegrees();
-  const std::vector<int64_t> y = og.InDegrees();
   const double n = static_cast<double>(g.num_nodes());
   std::vector<double> costs;
   costs.reserve(methods.size());
   for (Method m : methods) {
-    costs.push_back(n == 0 ? 0.0 : MethodCostTotal(x, y, m) / n);
+    costs.push_back(n == 0 ? 0.0 : MethodCostTotal(og, m) / n);
   }
   return costs;
 }

@@ -119,7 +119,7 @@ TEST_P(OperationalCostTest, RunCountsEqualDegreeFormulas) {
   }
   // PaperCost agrees with MethodCostTotal.
   EXPECT_DOUBLE_EQ(static_cast<double>(ops.PaperCost()),
-                   MethodCostTotal(x, y, method));
+                   MethodCostTotal(og, method));
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -221,7 +221,9 @@ TEST(CostIdentityTest, KnownValuesOnCompleteGraph) {
 TEST(CostIdentityTest, PerNodeCostDividesByN) {
   const Graph g = MakeComplete(10);
   const OrientedGraph og = OrientNamed(g, PermutationKind::kAscending);
-  EXPECT_DOUBLE_EQ(MethodCostPerNode(og, Method::kT1), 12.0);
+  EXPECT_DOUBLE_EQ(MethodCostTotal(og, Method::kT1) /
+                       static_cast<double>(og.num_nodes()),
+                   12.0);
 }
 
 TEST(CostIdentityTest, EmptyGraphCostsZero) {
@@ -232,7 +234,8 @@ TEST(CostIdentityTest, EmptyGraphCostsZero) {
   }
   const OrientedGraph og0 =
       OrientNamed(MakeEmpty(0), PermutationKind::kAscending);
-  EXPECT_EQ(MethodCostPerNode(og0, Method::kT1), 0.0);
+  EXPECT_EQ(og0.num_nodes(), 0u);
+  EXPECT_EQ(MethodCostTotal(og0, Method::kT1), 0.0);
 }
 
 TEST(CostIdentityTest, BinarySearchCountsForE5E6) {

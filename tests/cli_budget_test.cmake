@@ -2,7 +2,8 @@
 # take one budgeted path (the runner's partitioned branch, evicting over
 # the paged container): they must agree on triangles, paper-metric ops
 # and the whole I/O ledger, with several passes. A budgeted .tlg run
-# whose orientation is not embedded fails with the `convert` hint.
+# whose orientation is not embedded fails with the `convert` hint, and a
+# budgeted --degree-profile run charges exactly its paper cost.
 set(graph_file "${WORKDIR}/cli_budget_graph.txt")
 set(tlg_file "${WORKDIR}/cli_budget_graph.tlg")
 
@@ -76,6 +77,23 @@ foreach(method E1 E2)
                         "the graph no longer exceeds one partition")
   endif()
 endforeach()
+
+execute_process(
+  COMMAND "${CLI}" run --in "${tlg_file}" --methods E1 --order D
+          --mem-budget 1M --degree-profile --report json
+  RESULT_VARIABLE profile_result OUTPUT_VARIABLE profile_out
+  ERROR_VARIABLE profile_err)
+if(NOT profile_result EQUAL 0)
+  message(FATAL_ERROR "budgeted --degree-profile run failed: ${profile_err}")
+endif()
+string(REGEX MATCH "\"paper_cost\": ([0-9]+)" m "${profile_out}")
+set(profile_ops "${CMAKE_MATCH_1}")
+string(REGEX MATCH "\"total_measured_ops\": ([0-9]+)" m "${profile_out}")
+set(profile_measured "${CMAKE_MATCH_1}")
+if(profile_ops STREQUAL "" OR NOT profile_ops STREQUAL profile_measured)
+  message(FATAL_ERROR "budgeted profile charged '${profile_measured}' ops, "
+                      "the listing counted '${profile_ops}'")
+endif()
 
 execute_process(
   COMMAND "${CLI}" run --in "${tlg_file}" --methods E1 --order A

@@ -50,7 +50,7 @@ std::unique_ptr<TriangleServer> StartUnixServer(
   options.unix_path = ::testing::TempDir() + "trilist_dyn_" + test_name +
                       "_" + std::to_string(::getpid()) + ".sock";
   ::unlink(options.unix_path.c_str());
-  options.named_graphs = named;
+  options.catalog.named = named;
   auto server = TriangleServer::Start(options);
   EXPECT_TRUE(server.ok()) << server.status().ToString();
   return std::move(server).ValueOrDie();
@@ -342,8 +342,8 @@ TEST(DynServeTest, CompactionUnderServeKeepsCountsExact) {
   ServerOptions options;
   // Hair-trigger compaction: every batch that leaves overlay arcs
   // behind compacts immediately.
-  options.compact_overlay_fraction = 1e-9;
-  options.compact_min_arcs = 1;
+  options.catalog.compact_overlay_fraction = 1e-9;
+  options.catalog.compact_min_arcs = 1;
   auto server = StartUnixServer("compact", {{"k4", path}}, options);
   ServeClient client = MustConnect(*server);
 

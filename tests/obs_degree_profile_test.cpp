@@ -4,6 +4,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/algo/registry.h"
@@ -76,21 +77,6 @@ TEST(DegreeBucketTest, ResidualDegenerateGuards) {
 }
 
 // ---------------------------------------------------------------------------
-// Recorder.
-// ---------------------------------------------------------------------------
-
-TEST(NodeOpsRecorderTest, AccumulatesPerNode) {
-  NodeOpsRecorder recorder(4);
-  recorder.Record(1, 10);
-  recorder.Record(1, 5);
-  recorder.Record(3, 7);
-  EXPECT_EQ(recorder.ops()[0], 0);
-  EXPECT_EQ(recorder.ops()[1], 15);
-  EXPECT_EQ(recorder.ops()[3], 7);
-  EXPECT_EQ(recorder.Total(), 22);
-}
-
-// ---------------------------------------------------------------------------
 // Profile construction.
 // ---------------------------------------------------------------------------
 
@@ -100,16 +86,14 @@ TEST(BuildDegreeProfileTest, GroupsNodesAndPairsPrediction) {
   // so every arc points hub -> leaf: X_hub = 8, X_leaf = 0.
   const Graph g = MakeStar(9);
   const OrientedGraph og = OrientNamed(g, PermutationKind::kAscending);
-  std::vector<int64_t> node_ops(og.num_nodes(), 3);
 
-  const DegreeProfile profile =
-      BuildDegreeProfile(Method::kT1, og, node_ops);
+  const DegreeProfile profile = BuildDegreeProfile(Method::kT1, og);
   EXPECT_EQ(profile.method, Method::kT1);
   ASSERT_EQ(profile.buckets.size(), 5u);  // dense up to bucket 4
 
   const DegreeBucket& leaves = profile.buckets[1];
   EXPECT_EQ(leaves.nodes, 8);
-  EXPECT_EQ(leaves.measured_ops, 8 * 3);
+  EXPECT_EQ(leaves.measured_ops, 0);  // C(0, 2) per leaf
   // d = 1 nodes carry no prediction: g(1) = 0 and q is ill-defined.
   EXPECT_EQ(leaves.predicted_ops, 0.0);
 
@@ -117,11 +101,11 @@ TEST(BuildDegreeProfileTest, GroupsNodesAndPairsPrediction) {
   EXPECT_EQ(hub.nodes, 1);
   EXPECT_EQ(hub.d_min, 8);
   EXPECT_EQ(hub.d_max, 15);
-  EXPECT_EQ(hub.measured_ops, 3);
+  EXPECT_EQ(hub.measured_ops, 28);  // C(8, 2) out-neighbor pairs
   // Hand check: g(8) h_T1(8/8) = 56 * h_T1(1).
   EXPECT_DOUBLE_EQ(hub.predicted_ops, 56.0 * EvalH(Method::kT1, 1.0));
 
-  EXPECT_EQ(profile.total_measured, 9 * 3);
+  EXPECT_EQ(profile.total_measured, 28);
   EXPECT_DOUBLE_EQ(profile.total_predicted, hub.predicted_ops);
   EXPECT_EQ(profile.buckets[2].nodes, 0);  // empty middle buckets exist
   EXPECT_EQ(profile.buckets[3].nodes, 0);
@@ -130,19 +114,14 @@ TEST(BuildDegreeProfileTest, GroupsNodesAndPairsPrediction) {
 TEST(BuildDegreeProfileTest, MatchesPerNodeFormulaOnRandomGraph) {
   const Graph g = HeavyTailedGraph(400, 99);
   const OrientedGraph og = OrientNamed(g, PermutationKind::kDescending);
-  std::vector<int64_t> node_ops(og.num_nodes());
-  for (size_t i = 0; i < node_ops.size(); ++i) {
-    node_ops[i] = static_cast<int64_t>(i % 11);
-  }
-  const DegreeProfile profile =
-      BuildDegreeProfile(Method::kL1, og, node_ops);
+  const DegreeProfile profile = BuildDegreeProfile(Method::kL1, og);
 
   // Recompute the same aggregation with a plain per-node loop.
   int64_t measured = 0;
   double predicted = 0;
-  for (size_t i = 0; i < node_ops.size(); ++i) {
+  for (size_t i = 0; i < og.num_nodes(); ++i) {
     const auto v = static_cast<NodeId>(i);
-    measured += node_ops[i];
+    measured += NodeCost(Method::kL1, og.OutDegree(v), og.InDegree(v));
     const int64_t d = og.TotalDegree(v);
     if (d >= 2) {
       const double q =
@@ -163,31 +142,85 @@ TEST(BuildDegreeProfileTest, MatchesPerNodeFormulaOnRandomGraph) {
   EXPECT_EQ(bucket_nodes, static_cast<int64_t>(og.num_nodes()));
 }
 
-// The core attribution invariant: for every method, the per-node hook
-// records exactly the operations the kernel counts toward the paper cost,
-// so the profile's measured total reproduces OpCounts::PaperCost().
-TEST(BuildDegreeProfileTest, HookTotalMatchesPaperCostForAllMethods) {
-  const Graph g = HeavyTailedGraph(600, 7);
-  const OrientedGraph og = OrientNamed(g, PermutationKind::kDescending);
-  const DirectedEdgeSet arcs(og);
-  for (Method m : AllMethods()) {
-    CountingSink baseline_sink;
-    const OpCounts baseline = RunMethod(m, og, arcs, &baseline_sink);
+// Hand-computed per-node charges (Tables 1-2) on two small graphs, each
+// checked against a real listing pass.
+TEST(BuildDegreeProfileTest, HandComputedStarCharges) {
+  // Star with 8 leaves. theta_A gives the hub the top label (X = 8,
+  // Y = 0, leaves X = 0, Y = 1); theta_D the bottom one (X = 0, Y = 8,
+  // leaves X = 1, Y = 0). T1 charges C(X,2), T2 and L1 X*Y, E1 C(X,2) +
+  // X*Y, E4 C(X,2) + C(Y,2): every leaf costs 0 under both orders.
+  const Graph g = MakeStar(9);
+  const std::vector<std::pair<PermutationKind, std::vector<int64_t>>>
+      hub_charges = {
+          // T1, T2, E1, E4, L1
+          {PermutationKind::kAscending, {28, 0, 28, 28, 0}},
+          {PermutationKind::kDescending, {0, 0, 0, 28, 0}},
+      };
+  const std::vector<Method> methods = {Method::kT1, Method::kT2,
+                                       Method::kE1, Method::kE4,
+                                       Method::kL1};
+  for (const auto& [order, hub] : hub_charges) {
+    const OrientedGraph og = OrientNamed(g, order);
+    for (size_t i = 0; i < methods.size(); ++i) {
+      const std::string label = std::string(MethodName(methods[i])) + "/" +
+                                PermutationKindName(order);
+      const DegreeProfile profile = BuildDegreeProfile(methods[i], og);
+      ASSERT_EQ(profile.buckets.size(), 5u) << label;
+      EXPECT_EQ(profile.buckets[4].measured_ops, hub[i]) << label;
+      EXPECT_EQ(profile.buckets[1].measured_ops, 0) << label;
+      CountingSink sink;
+      EXPECT_EQ(profile.total_measured,
+                RunMethod(methods[i], og, &sink).PaperCost())
+          << label;
+    }
+  }
+}
 
-    NodeOpsRecorder recorder(og.num_nodes());
+TEST(BuildDegreeProfileTest, HandComputedCompleteGraphCharges) {
+  // Identity-labelled K4: node v has X = v out- and Y = 3 - v in-arcs.
+  const Graph g = MakeComplete(4);
+  const OrientedGraph og = Orient(g, Permutation(4));
+  const std::vector<std::pair<Method, std::vector<int64_t>>> per_node = {
+      {Method::kT1, {0, 0, 1, 3}},  // C(X,2)
+      {Method::kT2, {0, 2, 2, 0}},  // X*Y
+      {Method::kE1, {0, 2, 3, 3}},  // C(X,2) + X*Y
+      {Method::kE4, {3, 1, 1, 3}},  // C(X,2) + C(Y,2)
+      {Method::kL1, {0, 2, 2, 0}},  // X*Y
+  };
+  for (const auto& [m, expected] : per_node) {
+    int64_t total = 0;
+    for (NodeId v = 0; v < 4; ++v) {
+      EXPECT_EQ(og.OutDegree(v), v);
+      EXPECT_EQ(NodeCost(m, og.OutDegree(v), og.InDegree(v)), expected[v])
+          << MethodName(m) << " node " << v;
+      total += expected[v];
+    }
+    const DegreeProfile profile = BuildDegreeProfile(m, og);
+    EXPECT_EQ(profile.total_measured, total) << MethodName(m);
     CountingSink sink;
-    const OpCounts profiled =
-        RunMethodProfiled(m, og, arcs, &sink, &recorder);
+    EXPECT_EQ(RunMethod(m, og, &sink).PaperCost(), total) << MethodName(m);
+  }
+}
 
-    EXPECT_EQ(profiled.triangles, baseline.triangles) << MethodName(m);
-    EXPECT_EQ(profiled.PaperCost(), baseline.PaperCost()) << MethodName(m);
-    EXPECT_EQ(recorder.Total(), profiled.PaperCost()) << MethodName(m);
-
-    const DegreeProfile profile =
-        BuildDegreeProfile(m, og, recorder.ops());
-    EXPECT_EQ(profile.total_measured, profiled.PaperCost())
-        << MethodName(m);
-    EXPECT_GT(profile.total_predicted, 0.0) << MethodName(m);
+// The core attribution invariant: for every method and order, the
+// profile's measured total (per-node Table 1-2 charges) reproduces the
+// OpCounts::PaperCost() a real listing pass counts.
+TEST(BuildDegreeProfileTest, ProfileTotalMatchesPaperCostForAllMethods) {
+  const Graph g = HeavyTailedGraph(600, 7);
+  for (const PermutationKind order :
+       {PermutationKind::kDescending, PermutationKind::kAscending,
+        PermutationKind::kRoundRobin, PermutationKind::kUniform}) {
+    Rng rng(5);
+    const OrientedGraph og = OrientNamed(g, order, &rng);
+    const DirectedEdgeSet arcs(og);
+    for (Method m : AllMethods()) {
+      CountingSink sink;
+      const OpCounts ops = RunMethod(m, og, arcs, &sink);
+      const DegreeProfile profile = BuildDegreeProfile(m, og);
+      EXPECT_EQ(profile.total_measured, ops.PaperCost())
+          << MethodName(m) << "/" << PermutationKindName(order);
+      EXPECT_GT(profile.total_predicted, 0.0) << MethodName(m);
+    }
   }
 }
 

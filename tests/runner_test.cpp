@@ -251,20 +251,6 @@ TEST(RunnerTest, InMemorySourceAndRepeatsAreConsistent) {
             from_mem->methods[0].wall_s);
 }
 
-// Collecting runs return the actual triangles; their count matches the
-// counting sink's.
-TEST(RunnerTest, CollectSinkListsTriangles) {
-  GenerateSpec gen;
-  gen.n = 400;
-  RunSpec spec;
-  spec.source = GraphSource::FromGenerator(gen);
-  spec.sink = SinkKind::kCollect;
-  auto report = RunPipeline(spec);
-  ASSERT_TRUE(report.ok());
-  EXPECT_EQ(report->methods[0].listed.size(), report->Triangles());
-  EXPECT_GT(report->Triangles(), 0u);
-}
-
 // A memory budget switches E1/E2 to the partitioned executors: the
 // counts and CPU counters are bit-identical to the in-memory run and
 // the report carries a populated I/O ledger.

@@ -283,7 +283,7 @@ std::unique_ptr<TriangleServer> StartUnixServer(
   options.unix_path = ::testing::TempDir() + "trilist_" + test_name + "_" +
                       std::to_string(::getpid()) + ".sock";
   ::unlink(options.unix_path.c_str());
-  options.named_graphs = named;
+  options.catalog.named = named;
   auto server = TriangleServer::Start(options);
   EXPECT_TRUE(server.ok()) << server.status().ToString();
   return std::move(server).ValueOrDie();
@@ -345,7 +345,7 @@ TEST(ServerTest, WarmCatalogSkipsLoadAndOrientWithIdenticalCounts) {
   EXPECT_EQ(warm->methods[0].triangles, 4u);  // K4 has exactly 4 triangles
 }
 
-// A paged catalog (ServerOptions::paged_catalog) serves `.tlg` graphs
+// A paged catalog (ServerOptions::catalog.paged) serves `.tlg` graphs
 // demand-paged with counts identical to the eagerly-loaded path.
 TEST(ServerTest, PagedCatalogServesIdenticalCounts) {
   const std::string text = WriteK4File("paged_k4.txt");
@@ -357,7 +357,7 @@ TEST(ServerTest, PagedCatalogServesIdenticalCounts) {
   ASSERT_TRUE(WriteTlgFile(*graph, tlg, wopts).ok());
 
   ServerOptions options;
-  options.paged_catalog = true;
+  options.catalog.paged = true;
   auto server = StartUnixServer("paged", {{"k4", tlg}}, options);
 
   QueryRequest request;
@@ -507,7 +507,7 @@ TEST(ServerTest, LruEvictionKeepsCapacityAndInFlightSafety) {
   const std::string k4 = WriteK4File("lru_k4.txt");
   const std::string k6 = WriteTwoK6File("lru_k6.txt");
   ServerOptions options;
-  options.catalog_capacity = 1;
+  options.catalog.capacity = 1;
   auto server =
       StartUnixServer("lru", {{"k4", k4}, {"k6", k6}}, options);
 
@@ -686,7 +686,7 @@ TEST(ServerTest, TcpEphemeralPortServes) {
   ServerOptions options;
   options.tcp = true;
   options.port = 0;  // ephemeral: parallel test runs never collide
-  options.named_graphs = {{"k4", path}};
+  options.catalog.named = {{"k4", path}};
   auto server = TriangleServer::Start(options);
   ASSERT_TRUE(server.ok()) << server.status().ToString();
   ASSERT_NE((*server)->tcp_port(), 0);

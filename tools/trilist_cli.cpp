@@ -39,9 +39,10 @@
 ///       --trace records every pipeline span (stages, methods, parallel
 ///       chunks) into a Chrome trace-event file loadable in Perfetto,
 ///       --metrics exports the report in Prometheus text format, and
-///       --degree-profile re-runs each method with per-node op hooks and
-///       reports measured work vs the model's g(d)h(q) per log2-degree
-///       bucket with relative residuals.
+///       --degree-profile charges each method's realized per-node cost
+///       (Tables 1-2 on the oriented degrees, checked against the
+///       listing's ops) and reports it vs the model's g(d)h(q) per
+///       log2-degree bucket with relative residuals.
 ///
 ///   trilist_cli version
 ///       Build provenance: version, git hash, compiler, flags, build type.
@@ -869,21 +870,21 @@ int CmdServe(const Flags& flags) {
     std::fprintf(stderr, "serve: --tcp PORT and/or --unix PATH required\n");
     return 2;
   }
-  options.graph_root = flags.Get("graphs");
-  if (!ParseNamedGraphs(flags.Get("graph"), &options.named_graphs)) return 2;
-  if (options.graph_root.empty() && options.named_graphs.empty()) {
+  options.catalog.root = flags.Get("graphs");
+  if (!ParseNamedGraphs(flags.Get("graph"), &options.catalog.named)) return 2;
+  if (options.catalog.root.empty() && options.catalog.named.empty()) {
     std::fprintf(stderr,
                  "serve: --graphs DIR and/or --graph name=path required\n");
     return 2;
   }
   options.workers = static_cast<int>(flags.GetUint("workers", 1));
   options.max_queue = flags.GetUint("queue", 64);
-  options.catalog_capacity = flags.GetUint("catalog", 8);
+  options.catalog.capacity = flags.GetUint("catalog", 8);
   options.shortest_job_first = flags.Has("sjf");
   options.max_query_threads =
       static_cast<int>(flags.GetUint("max-threads", 0));
   options.send_timeout_s = flags.GetDouble("send-timeout", 30);
-  options.paged_catalog = flags.Has("paged");
+  options.catalog.paged = flags.Has("paged");
   // Test hook: lets the drain shell test hold a request in flight long
   // enough to race SIGTERM against it deterministically.
   if (const char* delay = std::getenv("TRILIST_SERVE_EXEC_DELAY_S")) {

@@ -25,7 +25,7 @@
 ///
 /// Each method takes an optional simd::IntersectEngine, which routes
 /// every intersection through the engine's selected backend (vectorized
-/// merge, hub bitmaps, galloping — see intersect_engine.h). A null
+/// merge or hub bitmaps — see intersect_engine.h). A null
 /// engine — the default — or one configured for the merge backend selects
 /// the direct-merge instantiation. Triangles and emission order are
 /// identical for every backend.

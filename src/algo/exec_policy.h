@@ -15,21 +15,18 @@ class BitmapIndex;
 }  // namespace simd
 
 /// \brief Sorted-span intersection backend of the SEI kernels (E1..E6,
-/// serial and parallel). Every backend emits the same triangles in the
-/// same order; kMerge, kSimd and kBitmap additionally report bit-identical
-/// merge_comparisons (the SIMD and bitmap kernels account the
-/// scalar-equivalent count), while kGallop and kAuto report the probe
-/// counts their own algorithms actually execute.
+/// serial and parallel): the three the planner chooses between. Every
+/// backend emits the same triangles in the same order and reports the
+/// same OpCounts, merge_comparisons included: the SIMD and bitmap kernels
+/// account the scalar merge's comparison count.
 enum class IntersectBackend {
   kMerge = 0,  ///< scalar two-pointer merge (the reference; the default).
-  kGallop,     ///< galloping search, best under extreme length asymmetry.
-  kAuto,       ///< ratio-adaptive merge/gallop pick.
   kSimd,       ///< vectorized block merge (AVX2/AVX-512, CPUID-dispatched).
   kBitmap,     ///< degree-partitioned: hub bitmaps word-AND / bit-probe,
                ///< low-degree rows on the vectorized merge.
 };
 
-/// Name of a backend ("merge", "gallop", "auto", "simd", "bitmap").
+/// Name of a backend ("merge", "simd", "bitmap").
 const char* IntersectBackendName(IntersectBackend backend);
 
 /// Parses a backend name; returns false (leaving *out untouched) on an
@@ -50,14 +47,10 @@ struct ExecPolicy {
   /// Intersection backend of the scanning edge iterators.
   IntersectBackend intersect = IntersectBackend::kMerge;
 
-  /// kBitmap only: degree threshold above which a row gets a packed
-  /// bitmap; <= 0 picks the auto threshold max(64, n/64) (see
-  /// simd::BitmapIndex::Options).
-  int bitmap_min_degree = 0;
-
   /// kBitmap only: a prebuilt index to reuse across methods and repeats
   /// (the Runner builds one per oriented graph under the "bitmap" stage).
-  /// Null = the dispatch layer builds a transient index per run.
+  /// Null = the dispatch layer builds a transient index per run, with the
+  /// auto hub threshold max(64, n/64) (see simd::BitmapIndex::Options).
   std::shared_ptr<const simd::BitmapIndex> bitmap_index;
 };
 

@@ -162,6 +162,13 @@ OpCounts RunFundamental(Method m, const OrientedGraph& g,
                         const DirectedEdgeSet* arcs, TriangleSink* sink,
                         simd::IntersectEngine* engine) {
   const Cut end{static_cast<NodeId>(g.num_nodes()), 0};
+  // A counting sink only needs the total, as in the parallel engine: run
+  // the count-only slice and credit the sink once.
+  if (auto* counter = dynamic_cast<CountingSink*>(sink)) {
+    const OpCounts ops = RunSlice(m, g, arcs, Cut{}, end, nullptr, engine);
+    counter->Add(static_cast<uint64_t>(ops.triangles));
+    return ops;
+  }
   return RunSlice(m, g, arcs, Cut{}, end, sink, engine);
 }
 

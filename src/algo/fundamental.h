@@ -59,7 +59,9 @@ OpCounts RunSlice(Method m, const OrientedGraph& g,
                   const DirectedEdgeSet* arcs, Cut lo, Cut hi,
                   TriangleSink* sink, simd::IntersectEngine* engine);
 
-/// Runs `m` over its whole iteration space — the serial kernel.
+/// Runs `m` over its whole iteration space — the serial kernel. A
+/// CountingSink gets the count-only slice and is credited once with the
+/// total, as the parallel engine does.
 OpCounts RunFundamental(Method m, const OrientedGraph& g,
                         const DirectedEdgeSet* arcs, TriangleSink* sink,
                         simd::IntersectEngine* engine);

@@ -9,28 +9,27 @@
 /// \file intersect.h
 /// Sorted-set intersection kernels — the elementary operation of scanning
 /// edge iterators, and the axis along which SEI beats hash-based families
-/// on modern hardware (Table 3). Four strategies with different
-/// asymmetry sweet spots:
+/// on modern hardware (Table 3).
 ///
 ///  * Merge: classic two-pointer scan, O(|A| + |B|); best when the lists
 ///    have comparable lengths (the paper's best case for intersection).
+///    The SEI backends (merge, simd, bitmap; see
+///    src/algo/simd/intersect_engine.h) all run it or account its count.
 ///  * Gallop: binary-search-assisted, O(|A| log(|B|/|A|)); best when one
 ///    list is much shorter (hub vs leaf adjacency).
 ///  * Auto: picks between the two from the length ratio.
-///  * Simd: block merge vectorized with AVX2/AVX-512 when the CPU has
-///    them (see src/algo/simd/intersect_simd.h), dispatching at runtime;
-///    emits the same elements in the same order as Merge and reports the
-///    scalar-equivalent comparison count, so it is a drop-in for cost
-///    experiments.
+///
+/// Gallop and Auto are not SEI backends: they are the mutation kernels of
+/// the incremental counter (src/dyn/dyn_graph.h), whose comparison counts
+/// are their own probe counts.
 ///
 /// The kernels are templates taking any callable `emit(NodeId)`, so call
 /// sites inline the emission (devirtualized hot path). All kernels return
 /// the number of elementary comparisons performed. IntersectMergeT is the
 /// one counting two-pointer merge in the tree: the SEI DirectMerge policy,
-/// the engine's short spans (intersect_engine.h), the SIMD duplicate-input
-/// fallback, the partitioned executors and the baselines all call it. (The
-/// SIMD block kernels' scalar tail keeps its own loop; intersect_simd.cpp
-/// says why.)
+/// the engine's short spans (intersect_engine.h), the partitioned
+/// executors and the baselines all call it. (The SIMD block kernels'
+/// scalar tail keeps its own loop; intersect_simd.cpp says why.)
 ///
 /// The merge step is branch-free: it compares a[i] with b[j] once and
 /// advances each cursor by a flag (i += a[i] <= b[j]; j += b[j] <= a[i]),

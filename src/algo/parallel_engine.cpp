@@ -108,24 +108,16 @@ bool SupportsParallel(Method m) {
 }
 
 OpCounts RunMethodParallel(Method m, const OrientedGraph& g,
-                           TriangleSink* sink, const ExecPolicy& policy) {
-  if (MethodFamily(m) == Family::kVertexIterator) {
-    const DirectedEdgeSet arcs(g);
-    return RunMethodParallel(m, g, arcs, sink, policy);
-  }
-  const DirectedEdgeSet empty_arcs{OrientedGraph()};
-  return RunMethodParallel(m, g, empty_arcs, sink, policy);
-}
-
-OpCounts RunMethodParallel(Method m, const OrientedGraph& g,
                            const DirectedEdgeSet& arcs, TriangleSink* sink,
                            const ExecPolicy& policy) {
+  return RunMethod(m, g, arcs, sink, policy);
+}
+
+OpCounts RunFundamentalParallel(Method m, const OrientedGraph& g,
+                                const DirectedEdgeSet* arcs,
+                                TriangleSink* sink,
+                                const ExecPolicy& policy) {
   const int threads = std::max(1, policy.threads);
-  if (threads == 1 || !SupportsParallel(m) || g.num_nodes() == 0) {
-    ExecPolicy serial = policy;
-    serial.threads = 1;
-    return RunMethod(m, g, arcs, sink, serial);
-  }
   const size_t num_chunks =
       static_cast<size_t>(threads) * kChunksPerThread;
   const std::vector<Cut> cuts = PlanCuts(m, g, num_chunks);
@@ -135,18 +127,17 @@ OpCounts RunMethodParallel(Method m, const OrientedGraph& g,
   CountingSink* counter = dynamic_cast<CountingSink*>(sink);
   std::vector<OpCounts> ops(num_chunks);
   std::vector<CollectingSink> buffers(counter != nullptr ? 0 : num_chunks);
-  // One immutable bitmap index shared by every worker; each chunk gets
-  // its own engine (the engine's scratch buffer is not thread-safe).
-  const std::shared_ptr<const simd::BitmapIndex> index =
-      simd::EnsureBitmapIndex(policy, g);
   ThreadPool pool(threads);
   pool.ParallelFor(num_chunks, [&](size_t c) {
     obs::TraceSpan span("chunk");
     span.Arg("method", MethodName(m));
     span.Arg("shard", static_cast<int64_t>(c));
     span.Arg("v_begin", static_cast<int64_t>(cuts[c].node));
-    simd::IntersectEngine engine(policy.intersect, index.get());
-    ops[c] = RunSlice(m, g, &arcs, cuts[c], cuts[c + 1],
+    // Each chunk gets its own engine (the engine's scratch buffer is not
+    // thread-safe) over the one immutable index.
+    simd::IntersectEngine engine(policy.intersect,
+                                 policy.bitmap_index.get());
+    ops[c] = RunSlice(m, g, arcs, cuts[c], cuts[c + 1],
                       counter != nullptr ? nullptr : &buffers[c], &engine);
     span.Arg("ops", ops[c].PaperCost());
   });

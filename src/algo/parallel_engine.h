@@ -38,21 +38,28 @@
 ///    replays the chunks in index order, so the sink sees exactly the
 ///    serial sequence.
 ///
-/// Methods outside {T1, T2, E1, E4} fall back to the serial engine.
+/// Methods outside {T1, T2, E1, E4}, and every run on one thread, take
+/// the serial engine.
 
 namespace trilist {
 
 /// True for the methods with a parallel driver (T1, T2, E1, E4).
 bool SupportsParallel(Method m);
 
-/// Runs `m` under `policy`, building the arc set internally when the
-/// method is a vertex iterator (as RunMethod does).
-OpCounts RunMethodParallel(Method m, const OrientedGraph& g,
-                           TriangleSink* sink, const ExecPolicy& policy);
-
-/// Same, reusing a caller-provided arc set for vertex iterators.
+/// Runs `m` under `policy`; the same call as RunMethod (registry.h),
+/// whose one dispatch runs the chunked driver below whenever
+/// policy.threads > 1 and `m` has one.
 OpCounts RunMethodParallel(Method m, const OrientedGraph& g,
                            const DirectedEdgeSet& arcs, TriangleSink* sink,
                            const ExecPolicy& policy);
+
+/// The chunked driver: runs fundamental method `m` (SupportsParallel) on
+/// policy.threads workers, whatever that count. `arcs` is read by T1/T2
+/// only and may be null for E1/E4; kBitmap reads policy.bitmap_index
+/// (RunMethod supplies it) and merges every span without one.
+OpCounts RunFundamentalParallel(Method m, const OrientedGraph& g,
+                                const DirectedEdgeSet* arcs,
+                                TriangleSink* sink,
+                                const ExecPolicy& policy);
 
 }  // namespace trilist

@@ -8,10 +8,6 @@ const char* IntersectBackendName(IntersectBackend backend) {
   switch (backend) {
     case IntersectBackend::kMerge:
       return "merge";
-    case IntersectBackend::kGallop:
-      return "gallop";
-    case IntersectBackend::kAuto:
-      return "auto";
     case IntersectBackend::kSimd:
       return "simd";
     case IntersectBackend::kBitmap:
@@ -24,10 +20,6 @@ bool ParseIntersectBackend(const char* name, IntersectBackend* out) {
   if (name == nullptr) return false;
   if (std::strcmp(name, "merge") == 0) {
     *out = IntersectBackend::kMerge;
-  } else if (std::strcmp(name, "gallop") == 0) {
-    *out = IntersectBackend::kGallop;
-  } else if (std::strcmp(name, "auto") == 0) {
-    *out = IntersectBackend::kAuto;
   } else if (std::strcmp(name, "simd") == 0) {
     *out = IntersectBackend::kSimd;
   } else if (std::strcmp(name, "bitmap") == 0) {
@@ -44,9 +36,7 @@ std::shared_ptr<const BitmapIndex> EnsureBitmapIndex(
     const ExecPolicy& policy, const OrientedGraph& g) {
   if (policy.intersect != IntersectBackend::kBitmap) return nullptr;
   if (policy.bitmap_index != nullptr) return policy.bitmap_index;
-  BitmapIndex::Options opts;
-  opts.min_degree = policy.bitmap_min_degree;
-  return std::make_shared<const BitmapIndex>(BitmapIndex::Build(g, opts));
+  return std::make_shared<const BitmapIndex>(BitmapIndex::Build(g));
 }
 
 }  // namespace simd

@@ -28,10 +28,10 @@
 /// prefix/suffix/mid sub-spans of hub rows without materializing them.
 ///
 /// Counter contract: kMerge, kSimd and kBitmap add the *same*
-/// merge_comparisons (the scalar-equivalent count, see
-/// ScalarMergeComparisons); kGallop/kAuto add their own honest probe
-/// counts. Emission order is ascending for every backend, so triangle
-/// streams are bit-identical across all five.
+/// merge_comparisons (the scalar merge's count, see
+/// ScalarMergeComparisons), and emission order is ascending for every
+/// backend, so triangle streams and OpCounts are bit-identical across all
+/// three.
 
 namespace trilist {
 namespace simd {
@@ -67,12 +67,6 @@ class IntersectEngine {
     switch (backend_) {
       case IntersectBackend::kMerge:
         *comparisons += IntersectMergeT(a, b, emit);
-        return;
-      case IntersectBackend::kGallop:
-        *comparisons += IntersectGallopT(a, b, emit);
-        return;
-      case IntersectBackend::kAuto:
-        *comparisons += IntersectAutoT(a, b, emit);
         return;
       case IntersectBackend::kSimd:
         *comparisons += BlockMerge(a, b, emit);

@@ -76,10 +76,7 @@ double CostModel::BackendSpeedup(IntersectBackend backend) const {
   switch (backend) {
     case IntersectBackend::kSimd: return params_.simd_speedup;
     case IntersectBackend::kBitmap: return params_.bitmap_speedup;
-    case IntersectBackend::kGallop: return params_.gallop_speedup;
-    case IntersectBackend::kMerge:
-    case IntersectBackend::kAuto:
-      return 1.0;
+    case IntersectBackend::kMerge: return 1.0;
   }
   return 1.0;
 }

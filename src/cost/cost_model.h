@@ -49,7 +49,6 @@ struct CostModelParams {
   /// AVX-512 8 (lane width over the scalar two-pointer merge).
   double simd_speedup = 0.0;
   double bitmap_speedup = 2.0;
-  double gallop_speedup = 1.0;
 };
 
 /// \brief Prices (method, ordering, backend) triples for one degree
@@ -103,7 +102,7 @@ class CostModel {
   double FamilyWeight(Method m) const;
 
   /// The effective SEI divisor of `backend` under these params (1 for
-  /// merge/gallop and for the adaptive picker, which runs scalar code).
+  /// the scalar merge).
   double BackendSpeedup(IntersectBackend backend) const;
 
   /// Measured-side companion: the same weighting applied to a measured

@@ -50,6 +50,30 @@ expect_unknown_flag(method query --connect 127.0.0.1:1 --graph g
 expect_unknown_flag(ops mutate --connect 127.0.0.1:1 --graph g
                     --add 1:2 --ops x.log)
 
+# Retired options: gallop is no intersect backend (the message lists the
+# ones there are), and the bitmap hub threshold is no flag.
+execute_process(
+  COMMAND "${CLI}" run --n 50 --intersect gallop
+  RESULT_VARIABLE result OUTPUT_VARIABLE out ERROR_VARIABLE err)
+if(NOT result EQUAL 2 OR NOT err MATCHES "merge\\|simd\\|bitmap\\|auto")
+  message(FATAL_ERROR "--intersect gallop exited ${result}: ${out} ${err}")
+endif()
+expect_unknown_flag(bitmap-min-degree run --n 50 --intersect bitmap
+                    --bitmap-min-degree 4)
+expect_unknown_flag(bitmap-min-degree count --in x.txt
+                    --bitmap-min-degree 4)
+
+# `--intersect auto` is a planner axis, so a budget beside it is a usage
+# error (the partitioned executors only merge).
+execute_process(
+  COMMAND "${CLI}" run --n 50 --methods E1 --intersect auto
+          --mem-budget 1M
+  RESULT_VARIABLE result OUTPUT_VARIABLE out ERROR_VARIABLE err)
+if(NOT result EQUAL 2 OR NOT err MATCHES "incompatible")
+  message(FATAL_ERROR
+          "--intersect auto --mem-budget exited ${result}: ${out} ${err}")
+endif()
+
 # A well-formed value still runs.
 execute_process(
   COMMAND "${CLI}" run --n 50 --threads 2

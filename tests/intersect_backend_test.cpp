@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -13,15 +14,17 @@
 #include "src/order/pipeline.h"
 #include "src/run/runner.h"
 #include "src/util/rng.h"
+#include "tests/expect_same_ops.h"
 
 /// \file intersect_backend_test.cpp
 /// Cross-backend parity for the scanning edge iterators: every
-/// intersection backend (merge, gallop, auto, simd, bitmap) must list the
-/// exact same triangles in the exact same order, serial and parallel, and
-/// the backends sharing the merge counter contract must report identical
-/// merge_comparisons. The paper's cost metric (local + remote scans) is
-/// backend-independent by construction, and the per-node attribution
-/// invariant measured == PaperCost must survive backend routing.
+/// intersection backend (merge, simd, bitmap) must list the exact same
+/// triangles in the exact same order, serial and parallel, and report
+/// identical OpCounts, merge_comparisons included (the SIMD and bitmap
+/// kernels account the scalar merge's count). The paper's cost metric
+/// (local + remote scans) is backend-independent by construction, and the
+/// per-node attribution invariant measured == PaperCost must survive
+/// backend routing.
 
 namespace trilist {
 namespace {
@@ -29,10 +32,9 @@ namespace {
 constexpr Method kSeiMethods[] = {Method::kE1, Method::kE2, Method::kE3,
                                   Method::kE4, Method::kE5, Method::kE6};
 
-constexpr IntersectBackend kAllBackends[] = {
-    IntersectBackend::kMerge, IntersectBackend::kGallop,
-    IntersectBackend::kAuto, IntersectBackend::kSimd,
-    IntersectBackend::kBitmap};
+constexpr IntersectBackend kAllBackends[] = {IntersectBackend::kMerge,
+                                             IntersectBackend::kSimd,
+                                             IntersectBackend::kBitmap};
 
 /// Graphs chosen to hit every engine path: hub-heavy stars and power-law
 /// tails (bitmap word-AND + probes), dense blocks (vector blocks), and
@@ -57,8 +59,8 @@ OrientedGraph MakeOriented(const std::string& kind, PermutationKind order) {
     g = MakeComplete(12);
   } else if (kind == "pareto_a1.3") {
     // Hub-heavy power law: linear truncation keeps hubs of near-n
-    // degree beside degree-1 rows, the regime where gallop and bitmap
-    // routing part ways with merge.
+    // degree beside degree-1 rows, the regime where bitmap routing parts
+    // ways with merge.
     GenerateSpec spec;
     spec.n = 1500;
     spec.alpha = 1.3;
@@ -72,58 +74,45 @@ OrientedGraph MakeOriented(const std::string& kind, PermutationKind order) {
   return OrientNamed(g, order, &orient_rng);
 }
 
+/// A bitmap index with every nonempty row a hub (threshold 1), so the
+/// word-AND path actually runs even on small test graphs.
+std::shared_ptr<const simd::BitmapIndex> AllHubs(const OrientedGraph& og) {
+  simd::BitmapIndex::Options opts;
+  opts.min_degree = 1;
+  return std::make_shared<const simd::BitmapIndex>(
+      simd::BitmapIndex::Build(og, opts));
+}
+
+/// A policy on `backend`; `hubs` (may be null: the auto threshold) is the
+/// prebuilt index the bitmap backend uses.
 ExecPolicy PolicyFor(IntersectBackend backend, int threads,
-                     int bitmap_min_degree) {
+                     std::shared_ptr<const simd::BitmapIndex> hubs) {
   ExecPolicy exec;
   exec.threads = threads;
   exec.intersect = backend;
-  exec.bitmap_min_degree = bitmap_min_degree;
+  exec.bitmap_index = std::move(hubs);
   return exec;
-}
-
-/// Counters every backend must reproduce exactly; merge_comparisons is
-/// checked separately (contract depends on the backend).
-void ExpectBackendInvariant(const OpCounts& ref, const OpCounts& got,
-                            const std::string& label) {
-  EXPECT_EQ(got.triangles, ref.triangles) << label;
-  EXPECT_EQ(got.local_scans, ref.local_scans) << label;
-  EXPECT_EQ(got.remote_scans, ref.remote_scans) << label;
-  EXPECT_EQ(got.binary_searches, ref.binary_searches) << label;
-  EXPECT_EQ(got.PaperCost(), ref.PaperCost()) << label;
-}
-
-bool SharesMergeCounterContract(IntersectBackend b) {
-  return b == IntersectBackend::kMerge || b == IntersectBackend::kSimd ||
-         b == IntersectBackend::kBitmap;
 }
 
 TEST(IntersectBackendTest, SerialParityAcrossAllBackends) {
   for (const std::string kind :
        {"gnp_dense", "gnp_sparse", "star_plus", "k12", "pareto_a1.3"}) {
-    // min_degree 1 forces every row into the bitmap index, so the
-    // word-AND path actually runs even on small test graphs.
-    for (const int min_degree : {0, 1}) {
-      const OrientedGraph og =
-          MakeOriented(kind, PermutationKind::kDescending);
+    const OrientedGraph og = MakeOriented(kind, PermutationKind::kDescending);
+    // The auto hub threshold, then every row a hub.
+    for (const bool all_hubs : {false, true}) {
+      const auto hubs = all_hubs ? AllHubs(og) : nullptr;
       for (const Method m : kSeiMethods) {
         CollectingSink ref_sink;
-        const OpCounts ref = RunMethod(
-            m, og, &ref_sink,
-            PolicyFor(IntersectBackend::kMerge, 1, min_degree));
+        const OpCounts ref = RunMethod(m, og, &ref_sink);
         for (const IntersectBackend backend : kAllBackends) {
           const std::string label = kind + "/" + MethodName(m) + "/" +
                                     IntersectBackendName(backend) +
-                                    "/min_degree=" +
-                                    std::to_string(min_degree);
+                                    (all_hubs ? "/all hubs" : "");
           CollectingSink sink;
           const OpCounts got =
-              RunMethod(m, og, &sink, PolicyFor(backend, 1, min_degree));
-          ExpectBackendInvariant(ref, got, label);
+              RunMethod(m, og, &sink, PolicyFor(backend, 1, hubs));
+          ExpectSameOps(got, ref, label);
           EXPECT_EQ(sink.triangles(), ref_sink.triangles()) << label;
-          if (SharesMergeCounterContract(backend)) {
-            EXPECT_EQ(got.merge_comparisons, ref.merge_comparisons)
-                << label;
-          }
         }
       }
     }
@@ -135,22 +124,19 @@ TEST(IntersectBackendTest, ParallelParityAcrossAllBackends) {
   // so emission must stay identical under every backend too.
   for (const std::string kind : {"gnp_dense", "star_plus", "pareto_a1.3"}) {
     const OrientedGraph og = MakeOriented(kind, PermutationKind::kDescending);
+    const auto hubs = AllHubs(og);
     for (const Method m : {Method::kE1, Method::kE4}) {
       CollectingSink ref_sink;
-      const OpCounts ref = RunMethod(
-          m, og, &ref_sink, PolicyFor(IntersectBackend::kMerge, 1, 1));
+      const OpCounts ref = RunMethod(m, og, &ref_sink);
       for (const IntersectBackend backend : kAllBackends) {
         const std::string label = kind + "/" + MethodName(m) +
                                   "/parallel/" +
                                   IntersectBackendName(backend);
         CollectingSink sink;
         const OpCounts got =
-            RunMethod(m, og, &sink, PolicyFor(backend, 3, 1));
-        ExpectBackendInvariant(ref, got, label);
+            RunMethod(m, og, &sink, PolicyFor(backend, 3, hubs));
+        ExpectSameOps(got, ref, label);
         EXPECT_EQ(sink.triangles(), ref_sink.triangles()) << label;
-        if (SharesMergeCounterContract(backend)) {
-          EXPECT_EQ(got.merge_comparisons, ref.merge_comparisons) << label;
-        }
       }
     }
   }
@@ -164,7 +150,7 @@ TEST(IntersectBackendTest, NonSeiMethodsIgnoreTheBackend) {
     const OpCounts ref = RunMethod(m, og, &ref_sink);
     CollectingSink sink;
     const OpCounts got = RunMethod(
-        m, og, &sink, PolicyFor(IntersectBackend::kBitmap, 1, 1));
+        m, og, &sink, PolicyFor(IntersectBackend::kBitmap, 1, AllHubs(og)));
     EXPECT_EQ(got.triangles, ref.triangles) << MethodName(m);
     EXPECT_EQ(got.candidate_checks, ref.candidate_checks) << MethodName(m);
     EXPECT_EQ(got.lookups, ref.lookups) << MethodName(m);
@@ -178,6 +164,7 @@ TEST(IntersectBackendTest, AttributionInvariantHoldsForEveryBackend) {
   // every backend.
   const OrientedGraph og =
       MakeOriented("star_plus", PermutationKind::kDescending);
+  const auto hubs = AllHubs(og);
   for (const Method m : kSeiMethods) {
     const obs::DegreeProfile profile = obs::BuildDegreeProfile(m, og);
     for (const IntersectBackend backend : kAllBackends) {
@@ -185,7 +172,7 @@ TEST(IntersectBackendTest, AttributionInvariantHoldsForEveryBackend) {
                                 IntersectBackendName(backend);
       CountingSink sink;
       const OpCounts ops =
-          RunMethod(m, og, &sink, PolicyFor(backend, 1, 1));
+          RunMethod(m, og, &sink, PolicyFor(backend, 1, hubs));
       EXPECT_EQ(profile.total_measured, ops.PaperCost()) << label;
     }
   }
@@ -234,9 +221,13 @@ TEST(IntersectBackendTest, ParseAndNameRoundTrip) {
         ParseIntersectBackend(IntersectBackendName(backend), &parsed));
     EXPECT_EQ(parsed, backend);
   }
-  IntersectBackend parsed = IntersectBackend::kAuto;
-  EXPECT_FALSE(ParseIntersectBackend("bogus", &parsed));
-  EXPECT_EQ(parsed, IntersectBackend::kAuto);  // untouched on failure
+  // `gallop` is a retired backend and `auto` is the planner's
+  // (trilist_cli), not a backend.
+  for (const char* name : {"bogus", "gallop", "auto"}) {
+    IntersectBackend parsed = IntersectBackend::kBitmap;
+    EXPECT_FALSE(ParseIntersectBackend(name, &parsed)) << name;
+    EXPECT_EQ(parsed, IntersectBackend::kBitmap) << name;  // untouched
+  }
 }
 
 }  // namespace

@@ -222,7 +222,7 @@ TEST(ParallelEngineTest, EmptyAndTriangleFreeGraphs) {
       ExecPolicy exec;
       exec.threads = 8;
       CountingSink sink;
-      const OpCounts ops = RunMethodParallel(m, og, &sink, exec);
+      const OpCounts ops = RunMethod(m, og, &sink, exec);
       EXPECT_EQ(sink.count(), 0u);
       EXPECT_EQ(ops.triangles, 0);
     }

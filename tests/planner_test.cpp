@@ -88,12 +88,12 @@ TEST(PlannerTest, PinnedAxesAreNeverOverridden) {
   PlannerRequest req;
   req.auto_order = true;
   req.methods = {Method::kT1};
-  req.intersect = IntersectBackend::kGallop;
+  req.intersect = IntersectBackend::kBitmap;
   const PlanResult plan = ResolvePlan(model, req);
 
   ASSERT_EQ(plan.chosen.methods.size(), 1u);
   EXPECT_EQ(plan.chosen.methods[0], Method::kT1);
-  EXPECT_EQ(plan.chosen.intersect, IntersectBackend::kGallop);
+  EXPECT_EQ(plan.chosen.intersect, IntersectBackend::kBitmap);
   // Only the order axis was free: one candidate per order kind.
   EXPECT_EQ(plan.candidates.size(), PlannerOrderCandidates().size());
   // And the chosen order is the T1 argmin over that axis.
@@ -101,7 +101,7 @@ TEST(PlannerTest, PinnedAxesAreNeverOverridden) {
   for (const PermutationKind kind : PlannerOrderCandidates()) {
     best = std::min(best,
                     model.PredictedTotalCost({kind, 0}, {Method::kT1},
-                                             IntersectBackend::kGallop));
+                                             IntersectBackend::kBitmap));
   }
   EXPECT_DOUBLE_EQ(plan.chosen.predicted_cost, best);
 }

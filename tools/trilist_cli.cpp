@@ -15,9 +15,10 @@
 ///       Sample a truncated-Pareto degree sequence, realize it exactly,
 ///       write the graph as an edge list.
 ///
-///   trilist_cli count --in FILE [--method T1|T2|E1|E4|...]
-///                     [--order D|A|RR|CRR|U|degen] [--seed S]
-///                     [--threads N] [--mem-budget SIZE]
+///   trilist_cli count --in FILE [--method T1|T2|E1|E4|...|auto]
+///                     [--order D|A|RR|CRR|U|degen|auto] [--seed S]
+///                     [--threads N] [--intersect merge|simd|bitmap|auto]
+///                     [--mem-budget SIZE]
 ///       Relabel + orient a graph and list its triangles with one
 ///       method, reporting the count, the operation metrics, the
 ///       per-stage wall times and, under --mem-budget, the I/O ledger.
@@ -26,8 +27,9 @@
 ///
 ///   trilist_cli run [--in FILE | --n N --alpha A [--trunc root|linear]
 ///                    [--gen residual|config|gnp]]
-///                   [--methods M1,M2,...|all|fundamental] [--order O]
-///                   [--seed S] [--threads N] [--repeats R]
+///                   [--methods M1,M2,...|all|fundamental|auto]
+///                   [--order O|auto] [--seed S] [--threads N]
+///                   [--intersect merge|simd|bitmap|auto] [--repeats R]
 ///                   [--report table|json] [--trace FILE.json]
 ///                   [--metrics FILE.prom] [--degree-profile]
 ///       The full RunSpec surface: acquire a graph (file or generated),
@@ -293,20 +295,21 @@ uint64_t ParseSizeFlag(const Flags& flags, const std::string& key,
   return base * scale;
 }
 
-/// --intersect backend for the SEI kernels; returns false (after
-/// reporting) on an unknown name.
-bool ParseIntersectFlag(const Flags& flags, ExecPolicy* exec) {
+/// --intersect backend for the SEI kernels, or `auto` for the planner;
+/// returns false (after reporting) on an unknown name.
+bool ParseIntersectFlag(const Flags& flags, RunSpec* spec) {
   const std::string name = flags.Get("intersect");
   if (name.empty()) return true;
-  if (!ParseIntersectBackend(name.c_str(), &exec->intersect)) {
+  if (name == "auto") {
+    spec->plan.intersect = true;
+    return true;
+  }
+  if (!ParseIntersectBackend(name.c_str(), &spec->exec.intersect)) {
     std::fprintf(stderr,
-                 "unknown intersect backend '%s' "
-                 "(merge|gallop|auto|simd|bitmap)\n",
+                 "unknown intersect backend '%s' (merge|simd|bitmap|auto)\n",
                  name.c_str());
     return false;
   }
-  exec->bitmap_min_degree =
-      static_cast<int>(flags.GetUint("bitmap-min-degree", 0));
   return true;
 }
 
@@ -387,12 +390,11 @@ bool ParseMethodList(const std::string& csv, std::vector<Method>* out) {
 
 /// The flags `count` and `run` share, parsed into `spec` (the caller sets
 /// `spec->source`): --order and --seed, --method(s) (a list, `all`,
-/// `fundamental` or `auto`), --threads, --intersect with
-/// --bitmap-min-degree, and --mem-budget. `--intersect auto` joins the
-/// planner when a plan axis is free and otherwise stays the
-/// ratio-adaptive kernel pick. A malformed --mem-budget, or one next to
-/// a planner axis (the planner may pick a method without a partitioned
-/// executor), is a usage error. Returns false after reporting one on
+/// `fundamental` or `auto`), --threads, --intersect (a backend or `auto`:
+/// the planner picks it, alone when method and order are pinned), and
+/// --mem-budget. A malformed --mem-budget, or one next to a planner axis
+/// (the planner may pick a method without a partitioned executor, or a
+/// backend the partitioned executors do not run), is a usage error. Returns false after reporting one on
 /// stderr.
 bool ParseRunFlags(const char* sub, const Flags& flags, RunSpec* spec) {
   PermutationKind order = PermutationKind::kDescending;
@@ -418,11 +420,7 @@ bool ParseRunFlags(const char* sub, const Flags& flags, RunSpec* spec) {
     return false;
   }
   spec->exec.threads = ParseThreadsFlag(flags);
-  if (!ParseIntersectFlag(flags, &spec->exec)) return false;
-  if (flags.Get("intersect") == "auto" && spec->plan.Any()) {
-    spec->plan.intersect = true;
-    spec->exec.intersect = IntersectBackend::kMerge;
-  }
+  if (!ParseIntersectFlag(flags, spec)) return false;
   spec->mem_budget_bytes =
       static_cast<int64_t>(ParseSizeFlag(flags, "mem-budget", 0));
   if (flags.Has("mem-budget") && spec->mem_budget_bytes == 0) {
@@ -432,9 +430,9 @@ bool ParseRunFlags(const char* sub, const Flags& flags, RunSpec* spec) {
   }
   if (spec->plan.Any() && spec->mem_budget_bytes > 0) {
     std::fprintf(stderr,
-                 "%s: --method/--order auto are incompatible with "
-                 "--mem-budget (the planner may pick a non-partitioned "
-                 "method)\n",
+                 "%s: --method/--order/--intersect auto are incompatible "
+                 "with --mem-budget (the planner may pick a "
+                 "non-partitioned method or backend)\n",
                  sub);
     return false;
   }
@@ -1232,30 +1230,31 @@ const std::vector<Subcommand>& Subcommands() {
        "  generate --n N --alpha A [--trunc root|linear] [--seed S] --out F\n"},
       {"count", CmdCount,
        {"in", "method", "order", "seed", "threads", "intersect",
-        "bitmap-min-degree", "mem-budget"},
+        "mem-budget"},
        "  count    --in F [--method T1..L6|auto] [--order O|auto]\n"
        "           (orders: D|A|RR|CRR|U|degen|aot|split; see `orders`;\n"
        "            auto = pick the min-predicted-cost plan, Section 3)\n"
        "           [--seed S]   (theta_U's shuffle seed)\n"
        "           [--threads N]   (N > 1: parallel engine; 0 = hardware)\n"
-       "           [--intersect merge|gallop|auto|simd|bitmap]\n"
-       "           [--bitmap-min-degree D]   (0 = auto max(64, n/64))\n"
+       "           [--intersect merge|simd|bitmap|auto]\n"
+       "           (auto = the planner picks the backend; bitmap hubs are\n"
+       "            rows of degree >= max(64, n/64))\n"
        "           [--mem-budget SIZE]   (e.g. 64M; E1/E2 run partitioned\n"
        "            under the budget; .tlg inputs demand-page + evict)\n"
        "           (--in accepts text edge lists or .tlg containers)\n"},
       {"run", CmdRun,
        {"in", "n", "alpha", "trunc", "gen", "methods", "method", "order",
-        "seed", "threads", "repeats", "intersect", "bitmap-min-degree",
+        "seed", "threads", "repeats", "intersect",
         "report", "trace", "metrics", "degree-profile", "mem-budget"},
        "  run      [--in F | --n N --alpha A [--trunc root|linear]\n"
        "           [--gen residual|config|gnp]]\n"
        "           [--methods M1,M2,...|all|fundamental|auto] [--order O|auto]\n"
        "           (--method is accepted as a synonym of --methods)\n"
        "           [--seed S] [--threads N] [--repeats R]\n"
-       "           [--intersect merge|gallop|auto|simd|bitmap]\n"
-       "           (with --methods/--order auto, --intersect auto joins the\n"
-       "            planner; the report's \"plan\" object audits the choice)\n"
-       "           [--bitmap-min-degree D]   (0 = auto max(64, n/64))\n"
+       "           [--intersect merge|simd|bitmap|auto]\n"
+       "           (auto = the planner picks the backend, alone or with\n"
+       "            --methods/--order auto; the report's \"plan\" object\n"
+       "            audits the choice)\n"
        "           [--report table|json] [--trace F.json] [--metrics F.prom]\n"
        "           [--degree-profile] [--mem-budget SIZE]\n"
        "           (--trace: Chrome/Perfetto span trace of the pipeline;\n"

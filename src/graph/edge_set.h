@@ -1,8 +1,13 @@
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
+
+#if defined(__SSE2__)
+#include <emmintrin.h>
+#endif
 
 #include "src/graph/oriented_graph.h"
 #include "src/util/status.h"
@@ -20,14 +25,27 @@
 ///     `slots_[offsets_[v], offsets_[v + 1])`. Its capacity is the next
 ///     power of two >= 2 * d+(v), or 0 when v has no out-arcs.
 ///   - A slot holds a 32-bit target or the empty marker `kEmpty`
-///     (~NodeId{0}); collisions probe linearly and wrap within the row.
-///   - The home slot is the low bits of an inline multiplicative hash of
-///     the target, which permutes residues mod the capacity: labels that
-///     differ mod the capacity never share a home slot. So a row whose
-///     source label is at most its capacity (most rows of G(1000, 1/2)
-///     under theta_D) answers each probe from one slot. Targets that agree
-///     mod the capacity share a probe chain; that costs probes, never
-///     correctness, and a chain never leaves its row.
+///     (~NodeId{0}). The home slot is the low bits of an inline
+///     multiplicative hash of the target.
+///   - A row is cut into aligned groups of w = min(kGroup, capacity)
+///     slots. A target goes into its home group, the group holding its
+///     home slot: into the home slot itself when that is empty, else into
+///     the first empty slot the group's empty mask shows. When the group
+///     is full, it goes to the next group, wrapping within the row. Each
+///     row is at most half full, so some group of it always has an empty
+///     slot.
+///   - A lookup compares all of a group against the target and against
+///     `kEmpty` at once (two SSE2 loads of 4 slots, or a portable loop
+///     building the same masks) and stops at the first group that holds
+///     the target or an empty slot. That is exact because slots are never
+///     deleted: if the group has an empty slot now, it had one when the
+///     target was inserted, so the target went into this group or into
+///     no later one.
+///   - The multiplicative hash permutes residues mod the capacity, so
+///     labels that differ mod the capacity never share a home slot, and a
+///     row answers most probes from one group, with no per-slot branch.
+///     A full group costs one more group compare, never correctness, and
+///     a probe never leaves its row.
 ///
 /// Why this is faster than packing (from << 32) | to into one table: the
 /// probes of one inner loop all land in one row's few cache lines, which
@@ -37,7 +55,9 @@
 /// pass per row.
 ///
 /// Memory: <= 4 B x 4m slots + 8 B x (n + 1) offsets (each row's capacity
-/// is below 4 * d+(v)); bytes() reports the exact footprint.
+/// is below 4 * d+(v)), plus kGroup - 1 trailing `kEmpty` slots (28 B)
+/// when m > 0, so the 8-slot load of a last row of capacity 2 or 4 stays
+/// inside the array; bytes() reports the exact footprint.
 
 namespace trilist {
 
@@ -52,37 +72,110 @@ class DirectedEdgeSet {
  public:
   /// Empty-slot marker; no node ID equals it (IDs are < 2^32 - 1).
   static constexpr NodeId kEmpty = ~NodeId{0};
+  /// Slots a probe compares at once; a row's groups are min(kGroup,
+  /// capacity) slots wide.
+  static constexpr size_t kGroup = 8;
+
+  /// One source row's table: answers Contains(to) for arcs from a fixed
+  /// source, so a kernel whose inner loop keeps the source fixed looks the
+  /// row up once.
+  class RowHandle {
+   public:
+    /// True iff the row holds `to`. Any `to` is allowed; kEmpty is never
+    /// held.
+    bool Contains(NodeId to) const {
+      if (cap_ == 0) return false;
+      size_t g = GroupOf(Home(to, cap_), cap_);
+      for (;;) {
+        const Masks m = Compare(slots_ + g, to);
+        const uint32_t hit = m.hit & lanes_;
+        const uint32_t empty = m.empty & lanes_;
+        if ((hit | empty) != 0) return (hit & ~empty) != 0;
+        g = (g + kGroup) & (cap_ - 1);
+      }
+    }
+
+   private:
+    friend class DirectedEdgeSet;
+    RowHandle(const NodeId* slots, size_t cap)
+        : slots_(slots), cap_(cap), lanes_(LaneMask(cap)) {}
+
+    const NodeId* slots_;
+    size_t cap_;
+    uint32_t lanes_;  // 4 bits per slot of the row's group width
+  };
 
   /// Indexes every arc of `g` (O(n + m) build, <= 50% load per row).
   explicit DirectedEdgeSet(const OrientedGraph& g);
 
-  /// True iff the arc from -> to exists. Precondition: from < n, the node
-  /// count of the indexed graph (the row is looked up directly). Any `to`
-  /// is allowed.
-  bool Contains(NodeId from, NodeId to) const {
+  /// The table of row `from`. Precondition: from < n, the node count of
+  /// the indexed graph (the row is looked up directly).
+  RowHandle Row(NodeId from) const {
     TRILIST_DCHECK(from + size_t{1} < offsets_.size());
     const size_t begin = offsets_[from];
-    const size_t cap = offsets_[from + 1] - begin;
-    if (cap == 0) return false;
-    const NodeId* row = slots_.data() + begin;
-    size_t i = Home(to, cap);
-    for (;;) {
-      const NodeId s = row[i];
-      if (s == kEmpty) return false;
-      if (s == to) return true;
-      i = (i + 1) & (cap - 1);
-    }
+    return RowHandle(slots_.data() + begin, offsets_[from + 1] - begin);
+  }
+
+  /// True iff the arc from -> to exists. Precondition: from < n. Any `to`
+  /// is allowed.
+  bool Contains(NodeId from, NodeId to) const {
+    return Row(from).Contains(to);
   }
 
   /// Number of arcs indexed.
   size_t size() const { return size_; }
 
-  /// Heap footprint of the index in bytes (slots plus row offsets).
+  /// Heap footprint of the index in bytes (slots, the trailing pad and
+  /// row offsets).
   size_t bytes() const {
     return slots_.size() * sizeof(NodeId) + offsets_.size() * sizeof(size_t);
   }
 
  private:
+  /// Per-slot compare results of one kGroup-slot load: 4 bits per slot,
+  /// slot i in bits [4i, 4i + 4).
+  struct Masks {
+    uint32_t hit;    // slot == the key
+    uint32_t empty;  // slot == kEmpty
+  };
+
+  /// Compares the kGroup slots at `group` against `to` and `kEmpty`. Reads
+  /// all kGroup slots whatever the row's width; callers mask the result to
+  /// the row with LaneMask.
+  static Masks Compare(const NodeId* group, NodeId to) {
+#if defined(__SSE2__)
+    const auto* p = reinterpret_cast<const __m128i*>(group);
+    const __m128i lo = _mm_loadu_si128(p);
+    const __m128i hi = _mm_loadu_si128(p + 1);
+    const __m128i key = _mm_set1_epi32(static_cast<int>(to));
+    const __m128i none = _mm_set1_epi32(-1);  // kEmpty
+    const auto mask = [](__m128i a, __m128i b) {
+      return static_cast<uint32_t>(_mm_movemask_epi8(_mm_cmpeq_epi32(a, b)));
+    };
+    return {mask(lo, key) | mask(hi, key) << 16,
+            mask(lo, none) | mask(hi, none) << 16};
+#else
+    Masks m{0, 0};
+    for (size_t i = 0; i < kGroup; ++i) {
+      m.hit |= (group[i] == to ? 0xFu : 0u) << (4 * i);
+      m.empty |= (group[i] == kEmpty ? 0xFu : 0u) << (4 * i);
+    }
+    return m;
+#endif
+  }
+
+  /// The compare-mask bits of a row of capacity `cap`: (1 << 4 min(cap,
+  /// kGroup)) - 1.
+  static uint32_t LaneMask(size_t cap) {
+    return cap >= kGroup ? ~uint32_t{0}
+                         : (uint32_t{1} << (4 * cap)) - 1;
+  }
+
+  /// First slot of the group holding `slot` in a row of capacity `cap`.
+  static size_t GroupOf(size_t slot, size_t cap) {
+    return slot & ~(std::min(cap, kGroup) - 1);
+  }
+
   /// Home slot of `to` in a row of power-of-two capacity `cap`: the low
   /// bits of a 32-bit multiplicative hash (an odd multiplier permutes the
   /// residues mod `cap`).
@@ -91,7 +184,8 @@ class DirectedEdgeSet {
   }
 
   std::vector<size_t> offsets_;  // n + 1 row starts; capacity = difference
-  std::vector<NodeId> slots_;    // every row's table, kEmpty when free
+  std::vector<NodeId> slots_;    // every row's table, kEmpty when free,
+                                 // then kGroup - 1 kEmpty pad slots
   size_t size_ = 0;
 };
 

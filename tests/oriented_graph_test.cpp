@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <numeric>
 #include <string>
 #include <utility>
@@ -146,32 +147,53 @@ TEST(OrientedGraphTest, AscendingOrientationGivesHubFullOutDegree) {
   EXPECT_EQ(og.OutDegree(hub_label), 5);
 }
 
+/// The index's slot-array bytes: every row's capacity bit_ceil(2 d+(v))
+/// plus, when there is an arc, the kGroup - 1 pad slots.
+size_t SlotBytes(const OrientedGraph& og) {
+  size_t slots = 0;
+  for (size_t i = 0; i < og.num_nodes(); ++i) {
+    const auto d = static_cast<size_t>(og.OutDegree(static_cast<NodeId>(i)));
+    slots += d == 0 ? 0 : std::bit_ceil(2 * d);
+  }
+  if (slots > 0) slots += DirectedEdgeSet::kGroup - 1;
+  return 4 * slots;
+}
+
 /// Checks Contains against a binary search of the sorted out-row for every
-/// (from, to) in [0, n)^2, plus targets past n and the empty marker, and
+/// (from, to) in [0, n)^2, plus targets past n and the empty marker, that
+/// Row(from).Contains agrees with Contains(from, .) on each of them, and
 /// the size and footprint bounds.
 void ExpectExactMembership(const OrientedGraph& og) {
   const DirectedEdgeSet arcs(og);
   const size_t n = og.num_nodes();
   const size_t m = og.num_arcs();
   EXPECT_EQ(arcs.size(), m);
+  // The 8-slot loads need kGroup - 1 trailing pad slots when m > 0.
+  const size_t pad = m > 0 ? 4 * (DirectedEdgeSet::kGroup - 1) : 0;
   EXPECT_GE(arcs.bytes(), 4 * 2 * m + 8 * (n + 1));
-  EXPECT_LE(arcs.bytes(), 4 * 4 * m + 8 * (n + 1));
+  EXPECT_LE(arcs.bytes(), 4 * 4 * m + 8 * (n + 1) + pad);
+  EXPECT_EQ(arcs.bytes(), SlotBytes(og) + 8 * (n + 1));
   size_t found = 0;
   for (size_t i = 0; i < n; ++i) {
     const auto from = static_cast<NodeId>(i);
     const auto out = og.OutNeighbors(from);
+    const auto row = arcs.Row(from);
     for (size_t j = 0; j < n; ++j) {
       const auto to = static_cast<NodeId>(j);
       const bool want = std::binary_search(out.begin(), out.end(), to);
       ASSERT_EQ(arcs.Contains(from, to), want) << from << " -> " << to;
+      ASSERT_EQ(row.Contains(to), want) << from << " -> " << to;
       found += want ? 1 : 0;
     }
     // Absent targets hash all over the row, so misses walk (and wrap)
-    // every probe chain.
+    // past every full group.
     for (size_t j = n; j < n + 2048; ++j) {
-      ASSERT_FALSE(arcs.Contains(from, static_cast<NodeId>(j)));
+      const auto to = static_cast<NodeId>(j);
+      ASSERT_FALSE(arcs.Contains(from, to));
+      ASSERT_FALSE(row.Contains(to));
     }
     ASSERT_FALSE(arcs.Contains(from, DirectedEdgeSet::kEmpty));
+    ASSERT_FALSE(row.Contains(DirectedEdgeSet::kEmpty));
   }
   EXPECT_EQ(found, m);
 }
@@ -237,6 +259,83 @@ TEST(DirectedEdgeSetTest, ContainsExactlyTheArcs) {
       OrientedGraph::FromLabels(MakeComplete(4), {0, 1, 2, 3});
   ASSERT_EQ(k4.OutDegree(3), 3);
   ExpectExactMembership(k4);
+}
+
+/// Home slot of `to` in a row of capacity `cap`: a copy of the index's
+/// documented multiplicative hash (edge_set.h), so a test can pick labels
+/// that collide.
+size_t HomeSlot(NodeId to, size_t cap) {
+  return static_cast<size_t>(to * 0x9E3779B1u) & (cap - 1);
+}
+
+TEST(DirectedEdgeSetTest, FullGroupSpillsAndWrapsAtRowEnd) {
+  // Row `src` holds 12 targets whose homes all fall in the row's last
+  // aligned group, slots [24, 32) of capacity bit_ceil(24) = 32. Eight
+  // fill that group; the rest spill into the next group, which wraps to
+  // slots [0, 8), and so do the lookups of them and of absent labels
+  // homed there.
+  constexpr size_t kCap = 32;
+  constexpr size_t kLast = kCap - DirectedEdgeSet::kGroup;
+  std::vector<NodeId> targets;
+  std::vector<NodeId> absent;  // homed in the last group, not in the row
+  for (NodeId t = 0; absent.size() < 64; ++t) {
+    if (HomeSlot(t, kCap) < kLast) continue;
+    (targets.size() < 12 ? targets : absent).push_back(t);
+  }
+  const NodeId src = absent.back() + 1;  // above every label: row src
+  std::vector<Edge> edges;
+  for (NodeId t : targets) edges.emplace_back(t, src);
+  const size_t n = src + size_t{1};
+  const OrientedGraph og = OrientedGraph::FromLabels(
+      Build(n, edges), [&] {
+        std::vector<NodeId> labels(n);
+        std::iota(labels.begin(), labels.end(), NodeId{0});
+        return labels;
+      }());
+  ASSERT_EQ(og.OutDegree(src), 12);
+  const DirectedEdgeSet arcs(og);
+  const auto row = arcs.Row(src);
+  for (NodeId t : targets) {
+    EXPECT_TRUE(arcs.Contains(src, t)) << t;
+    EXPECT_TRUE(row.Contains(t)) << t;
+  }
+  for (NodeId t : absent) {
+    EXPECT_FALSE(arcs.Contains(src, t)) << t;
+    EXPECT_FALSE(row.Contains(t)) << t;
+  }
+  // Every group has an empty slot except the full last one, so the
+  // kEmpty key matches empty slots only and is never reported held.
+  EXPECT_FALSE(arcs.Contains(src, DirectedEdgeSet::kEmpty));
+  EXPECT_FALSE(row.Contains(DirectedEdgeSet::kEmpty));
+  ExpectExactMembership(og);
+}
+
+TEST(DirectedEdgeSetTest, NarrowLastRowReadsOnlyItsOwnSlots) {
+  // The last row has capacity 2 (one arc) or 4 (two arcs): its 8-slot
+  // load runs past the row into the trailing pad, whose slots must not
+  // count as hits or lanes.
+  const std::vector<NodeId> identity = {0, 1, 2, 3};
+  const OrientedGraph cap2 = OrientedGraph::FromLabels(
+      Build(4, {{1, 0}, {2, 1}, {3, 2}}), identity);
+  const OrientedGraph cap4 = OrientedGraph::FromLabels(
+      Build(4, {{1, 0}, {3, 0}, {3, 2}}), identity);
+  ASSERT_EQ(cap2.OutDegree(3), 1);
+  ASSERT_EQ(cap4.OutDegree(3), 2);
+  for (const OrientedGraph* og : {&cap2, &cap4}) {
+    const DirectedEdgeSet arcs(*og);
+    for (NodeId v = 0; v < 4; ++v) {
+      EXPECT_FALSE(arcs.Contains(v, DirectedEdgeSet::kEmpty)) << v;
+    }
+    ExpectExactMembership(*og);
+  }
+  // Footprint: the parent layout (row capacities and offsets) plus the
+  // 28-byte pad; an arc-free index has no pad.
+  EXPECT_EQ(DirectedEdgeSet(cap2).bytes(), 4 * (2 + 2 + 2 + 7) + 8 * 5);
+  EXPECT_EQ(DirectedEdgeSet(cap4).bytes(), 4 * (2 + 4 + 7) + 8 * 5);
+  EXPECT_EQ(DirectedEdgeSet(OrientNamed(MakeEmpty(4),
+                                        PermutationKind::kDescending))
+                .bytes(),
+            8 * 5);
 }
 
 TEST(DirectedEdgeSetTest, NextRowTargetsAreNotFoundInThisRow) {

@@ -17,7 +17,6 @@
 
 #include "bench/bench_common.h"
 #include "src/algo/baselines.h"
-#include "src/algo/edge_iterator.h"
 #include "src/algo/registry.h"
 #include "src/core/h_function.h"
 #include "src/order/optimal.h"
@@ -90,10 +89,10 @@ int main() {
   const OrientedGraph og_d = OrientNamed(graph_b, PermutationKind::kDescending);
   const DirectedEdgeSet arcs(og_d);
   CountingSink sink;
-  const OpCounts t1_full = RunT1(og_d, arcs, &sink);
+  const OpCounts t1_full = RunMethod(Method::kT1, og_d, arcs, &sink);
   const OpCounts t1_norelabel = RunT1NoRelabel(og_d, arcs, &sink);
   const OpCounts classic = RunClassicVertexIterator(graph_b, &sink);
-  const OpCounts e1_full = RunE1(og_d, &sink);
+  const OpCounts e1_full = RunMethod(Method::kE1, og_d, &sink);
   const OpCounts e1_norelabel = RunE1NoRelabel(og_d, &sink);
 
   TablePrinter prep({"configuration", "T1-class ops", "E1-class ops"});

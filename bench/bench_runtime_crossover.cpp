@@ -8,14 +8,33 @@
 /// method wins on this machine — connecting Table 3's microbenchmark to
 /// the cost model's prediction. Each alpha's graph + orientation + runs
 /// execute through the shared RunPipeline, which also reuses one
-/// orientation across the three methods.
+/// orientation across the three methods. Each wall is the minimum of
+/// kRepeats listing passes, printed with the mean's excess over it, so
+/// a winner is not named from one noisy sample.
 
 #include <algorithm>
 #include <cstdio>
 #include <iostream>
+#include <string>
 
 #include "bench/bench_common.h"
 #include "src/util/table_printer.h"
+
+namespace {
+
+/// Listing passes per method; the runner keeps the fastest.
+constexpr int kRepeats = 5;
+
+/// "0.123s +4%": the min-of-kRepeats wall and how far the mean lies
+/// above it.
+std::string WallCell(const trilist::MethodReport& m) {
+  const double mean = m.wall_total_s / kRepeats;
+  const double spread = m.wall_s > 0 ? (mean / m.wall_s - 1) * 100 : 0.0;
+  return trilist::FormatNumber(m.wall_s, 3) + "s +" +
+         trilist::FormatNumber(spread, 0) + "%";
+}
+
+}  // namespace
 
 int main() {
   using namespace trilist;
@@ -23,6 +42,8 @@ int main() {
   std::cout << "=== Runtime crossover: T1 vs E1 vs L2 under theta_D "
                "(n=" << n << ") ===\n";
 
+  std::cout << "times: min of " << kRepeats
+            << " passes, +% = mean above min\n";
   TablePrinter table({"alpha", "w_n = ops(E1)/ops(T1)", "T1 time", "E1 time",
                       "L2 time", "winner"});
   for (double alpha : {1.5, 1.7, 2.1, 3.0}) {
@@ -31,6 +52,7 @@ int main() {
         trilist_bench::ParetoSpec(n, alpha, TruncationKind::kRoot));
     spec.methods = {Method::kT1, Method::kE1, Method::kL2};
     spec.seed = trilist_bench::Seed();
+    spec.repeats = kRepeats;
     auto report = RunPipeline(spec);
     if (!report.ok()) {
       std::fprintf(stderr, "run failed: %s\n",
@@ -47,10 +69,8 @@ int main() {
     const char* winner = best == e1.wall_s ? "E1"
                          : best == t1.wall_s ? "T1"
                                              : "L2";
-    table.AddRow({FormatNumber(alpha, 1), FormatNumber(wn, 2),
-                  FormatNumber(t1.wall_s, 3) + "s",
-                  FormatNumber(e1.wall_s, 3) + "s",
-                  FormatNumber(l2.wall_s, 3) + "s", winner});
+    table.AddRow({FormatNumber(alpha, 1), FormatNumber(wn, 2), WallCell(t1),
+                  WallCell(e1), WallCell(l2), winner});
   }
   table.Print(std::cout);
   std::cout << "\nreading: E1 runs w_n times more operations but each "

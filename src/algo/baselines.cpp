@@ -5,8 +5,8 @@
 #include <span>
 #include <vector>
 
-#include "src/algo/edge_iterator.h"
 #include "src/algo/intersect.h"
+#include "src/algo/registry.h"
 #include "src/order/pipeline.h"
 
 namespace trilist {
@@ -143,7 +143,7 @@ OpCounts RunCompactForward(const Graph& g, TriangleSink* sink) {
     EmitSortedOriginal(sink, og.OriginalOf(x), og.OriginalOf(y),
                        og.OriginalOf(z));
   });
-  return RunE2(og, &translate);
+  return RunMethod(Method::kE2, og, &translate);
 }
 
 }  // namespace trilist

@@ -1,7 +1,7 @@
 #pragma once
 
+#include "src/algo/fundamental.h"  // OpCounts
 #include "src/algo/triangle_sink.h"
-#include "src/algo/vertex_iterator.h"  // OpCounts
 #include "src/graph/graph.h"
 #include "src/graph/oriented_graph.h"
 

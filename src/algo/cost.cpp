@@ -44,60 +44,44 @@ const char* MethodName(Method m) {
   return "?";
 }
 
-Family MethodFamily(Method m) {
-  switch (m) {
-    case Method::kT1: case Method::kT2: case Method::kT3:
-    case Method::kT4: case Method::kT5: case Method::kT6:
-      return Family::kVertexIterator;
-    case Method::kE1: case Method::kE2: case Method::kE3:
-    case Method::kE4: case Method::kE5: case Method::kE6:
-      return Family::kScanningEdgeIterator;
-    default:
-      return Family::kLookupEdgeIterator;
-  }
+// Tables 1-2 from the pattern table: a vertex iterator pays its local
+// class in candidate checks, a scanning edge iterator local + remote in
+// scans, a lookup edge iterator its remote class in lookups.
+
+namespace {
+
+/// Cost class of a pattern's local candidates: pairs within N+(o) (T1) or
+/// N-(o) (T3), or the whole other list per outer position (T2).
+CostClass LocalClass(const SearchPattern& p) {
+  if (p.local == LocalPart::kOther) return CostClass::kT2;
+  return p.outer_out ? CostClass::kT1 : CostClass::kT3;
 }
 
+/// Cost class of a pattern's remote list, charged to w: the whole list
+/// per arc into w (T2), or pairs within N+(w) (T1) / N-(w) (T3) when it
+/// is cut against o.
+CostClass RemoteClass(const SearchPattern& p) {
+  if (p.restriction == Restriction::kNone) return CostClass::kT2;
+  return p.remote_out ? CostClass::kT1 : CostClass::kT3;
+}
+
+}  // namespace
+
 CostClass LocalCostClass(Method m) {
-  switch (m) {
-    // Vertex iterators: the candidate-tuple class (T4-T6 mirror T1-T3).
-    case Method::kT1: case Method::kT4: return CostClass::kT1;
-    case Method::kT2: case Method::kT5: return CostClass::kT2;
-    case Method::kT3: case Method::kT6: return CostClass::kT3;
-    // SEI local classes, Table 1 row 1.
-    case Method::kE1: return CostClass::kT1;
-    case Method::kE2: return CostClass::kT2;
-    case Method::kE3: return CostClass::kT3;
-    case Method::kE4: return CostClass::kT1;
-    case Method::kE5: return CostClass::kT2;
-    case Method::kE6: return CostClass::kT3;
-    // LEI lookup classes, Table 2.
-    case Method::kL1: return CostClass::kT2;
-    case Method::kL2: return CostClass::kT1;
-    case Method::kL3: return CostClass::kT2;
-    case Method::kL4: return CostClass::kT3;
-    case Method::kL5: return CostClass::kT3;
-    case Method::kL6: return CostClass::kT1;
-  }
-  return CostClass::kT1;
+  const SearchPattern& p = PatternOf(m);
+  return MethodFamily(m) == Family::kLookupEdgeIterator ? RemoteClass(p)
+                                                         : LocalClass(p);
 }
 
 CostClass RemoteCostClass(Method m) {
-  switch (m) {
-    // SEI remote classes, Table 1 row 2.
-    case Method::kE1: return CostClass::kT2;
-    case Method::kE2: return CostClass::kT1;
-    case Method::kE3: return CostClass::kT2;
-    case Method::kE4: return CostClass::kT3;
-    case Method::kE5: return CostClass::kT3;
-    case Method::kE6: return CostClass::kT1;
-    default:
-      return LocalCostClass(m);
-  }
+  return MethodFamily(m) == Family::kScanningEdgeIterator
+             ? RemoteClass(PatternOf(m))
+             : LocalCostClass(m);
 }
 
 bool NeedsRemoteBinarySearch(Method m) {
-  return m == Method::kE5 || m == Method::kE6 || m == Method::kL5 ||
-         m == Method::kL6;
+  return MethodFamily(m) != Family::kVertexIterator &&
+         PatternOf(m).restriction == Restriction::kAbove;
 }
 
 namespace {

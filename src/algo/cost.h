@@ -16,7 +16,9 @@
 ///   T3-class: sum_i Y_i (Y_i - 1) / 2      (pairs of in-neighbors)
 /// Scanning edge iterators combine a local and a remote class (Table 1);
 /// lookup edge iterators pay the remote class in lookups plus m hash
-/// inserts (Table 2).
+/// inserts (Table 2). Both tables are read off the six search patterns
+/// (kSearchPatterns): each class follows from the shape of a pattern's
+/// local and remote lists.
 
 namespace trilist {
 
@@ -30,7 +32,8 @@ enum class Method {
 /// Number of Method values; static_cast<size_t>(m) indexes arrays of it.
 inline constexpr size_t kNumMethods = static_cast<size_t>(Method::kL6) + 1;
 
-/// Families of methods (different elementary-operation speeds, Table 3).
+/// Families of methods (different elementary-operation speeds, Table 3),
+/// in the order of their block in Method.
 enum class Family {
   kVertexIterator,
   kScanningEdgeIterator,
@@ -40,6 +43,57 @@ enum class Family {
 /// The three primitive cost classes.
 enum class CostClass { kT1, kT2, kT3 };
 
+/// A corner of the listed triangle x < y < z (labels).
+enum class Role { kX, kY, kZ };
+
+/// Which list holds a pattern's local candidates: the outer node's other
+/// list, or its outer list before / after the current position.
+enum class LocalPart { kOther, kBefore, kAfter };
+
+/// Restriction of the remote list to labels below / above the outer node.
+/// kAbove starts mid-list and costs a binary search (E5/E6, L5/L6).
+enum class Restriction { kNone, kBelow, kAbove };
+
+/// \brief One of the six search patterns of Figures 1 and 3.
+///
+/// The outer node o runs through every label; its outer list N±(o) is
+/// walked by position p, whose element is w. The third corner c is then
+/// found among the local candidates (LocalPart) that also lie in the
+/// remote list N±(w), restricted against o. The three families are three
+/// checks on the same pattern: T_k probes the arc set for each local
+/// candidate, E_k merge-intersects the local list with the remote list,
+/// and L_k marks the unrestricted local list once per o and probes each
+/// remote element.
+struct SearchPattern {
+  Role outer;              ///< role of the outer node o.
+  Role inner;              ///< role of w, the outer list's element at p.
+  bool outer_out;          ///< outer list is N+(o) (else N-(o)).
+  LocalPart local;         ///< where c's local candidates lie.
+  bool remote_out;         ///< remote list is N+(w) (else N-(w)).
+  Restriction restriction; ///< remote list cut against o.
+};
+
+/// Patterns 1..6. Out-lists hold lower labels, in-lists higher ones.
+inline constexpr SearchPattern kSearchPatterns[6] = {
+    // o         w          outer  local               remote  restriction
+    {Role::kZ, Role::kY, true,  LocalPart::kBefore, true,  Restriction::kNone},
+    {Role::kY, Role::kZ, false, LocalPart::kOther,  true,  Restriction::kBelow},
+    {Role::kX, Role::kY, false, LocalPart::kAfter,  false, Restriction::kNone},
+    {Role::kZ, Role::kX, true,  LocalPart::kAfter,  false, Restriction::kBelow},
+    {Role::kY, Role::kX, true,  LocalPart::kOther,  false, Restriction::kAbove},
+    {Role::kX, Role::kZ, false, LocalPart::kBefore, true,  Restriction::kAbove},
+};
+
+/// Family of a method: T1..T6, E1..E6 and L1..L6 are consecutive blocks.
+constexpr Family MethodFamily(Method m) {
+  return static_cast<Family>(static_cast<size_t>(m) / 6);
+}
+
+/// Search pattern of a method: T_k, E_k and L_k share pattern k.
+constexpr const SearchPattern& PatternOf(Method m) {
+  return kSearchPatterns[static_cast<size_t>(m) % 6];
+}
+
 /// All methods, in declaration order (convenience for sweeps).
 const std::vector<Method>& AllMethods();
 
@@ -48,9 +102,6 @@ const std::vector<Method>& FundamentalMethods();  // T1, T2, E1, E4
 
 /// Method name ("T1", "E4", ...).
 const char* MethodName(Method m);
-
-/// Family of a method.
-Family MethodFamily(Method m);
 
 /// Local cost class (SEI), or the single class (vertex iterators: the
 /// candidate-tuple count; LEI: the lookup count).

@@ -1,16 +1,21 @@
 #include "src/algo/fundamental.h"
 
+#include <optional>
 #include <type_traits>
+#include <utility>
 
 #include "src/algo/sei_common.h"
 #include "src/algo/simd/intersect_engine.h"
-#include "src/util/status.h"
 
 namespace trilist {
 
 namespace {
 
-using sei::PrefixBelow;
+/// N+(v) when `out`, else N-(v).
+[[gnu::always_inline]] inline std::span<const NodeId> List(
+    const OrientedGraph& g, NodeId v, bool out) {
+  return out ? g.OutNeighbors(v) : g.InNeighbors(v);
+}
 
 /// Calls row(v, p0, p1) for every node whose outer range meets [lo, hi),
 /// in label order, with [p0, p1) the part of v's range inside the slice.
@@ -34,164 +39,225 @@ struct NoEmit {
   void operator()(NodeId, NodeId, NodeId) const {}
 };
 
-/// True for the count-only instantiation. Its vertex-iterator loops add
-/// each check's result to the count instead of branching on it: on dense
+/// The emitter of the listing slices.
+struct SinkEmit {
+  TriangleSink* sink;
+  void operator()(NodeId x, NodeId y, NodeId z) const {
+    sink->Consume(x, y, z);
+  }
+};
+
+/// True for the count-only instantiation. Its probe loops add each
+/// check's result to the count instead of branching on it: on dense
 /// inputs about half of all checks hit, so that branch would mispredict.
 template <typename Emit>
 constexpr bool kCountOnly = std::is_same_v<Emit, NoEmit>;
 
-/// T1: visit z, generate pairs x < y from N+(z), verify arc y -> x. The
-/// outer position is the index b of y; the pairs are (a, b) with a < b.
-template <typename Emit>
-OpCounts SliceT1(const OrientedGraph& g, const DirectedEdgeSet& arcs,
-                 Cut lo, Cut hi, Emit emit) {
-  OpCounts ops;
-  ForEachRow(Method::kT1, g, lo, hi, [&](NodeId z, size_t p0, size_t p1) {
-    const auto out = g.OutNeighbors(z);
-    // Pairs x < y; lists are sorted, so index order is label order.
-    int64_t tri = 0;
-    for (size_t b = p0; b < p1; ++b) {
-      const NodeId y = out[b];
-      const auto row = arcs.Row(y);
-      ops.candidate_checks += static_cast<int64_t>(b);
-      for (size_t a = 0; a < b; ++a) {
-        const NodeId x = out[a];
-        if constexpr (kCountOnly<Emit>) {
-          tri += row.Contains(x);
-        } else if (row.Contains(x)) {
-          ++tri;
-          emit(x, y, z);
-        }
-      }
-    }
-    ops.triangles += tri;
-  });
-  return ops;
+/// The corner of pattern `p` playing `role`: the outer node o, the outer
+/// list's element w, or the found node c.
+constexpr NodeId Corner(const SearchPattern& p, Role role, NodeId o,
+                        NodeId w, NodeId c) {
+  return role == p.outer ? o : role == p.inner ? w : c;
 }
 
-/// T2: visit y, pair z in N-(y) with x in N+(y), verify arc z -> x. The
-/// outer position is the index of z in N-(y).
-template <typename Emit>
-OpCounts SliceT2(const OrientedGraph& g, const DirectedEdgeSet& arcs,
-                 Cut lo, Cut hi, Emit emit) {
-  OpCounts ops;
-  ForEachRow(Method::kT2, g, lo, hi, [&](NodeId y, size_t p0, size_t p1) {
-    const auto in = g.InNeighbors(y);
-    const auto out = g.OutNeighbors(y);
-    int64_t tri = 0;
-    for (size_t zi = p0; zi < p1; ++zi) {
-      const NodeId z = in[zi];
-      const auto row = arcs.Row(z);
-      ops.candidate_checks += static_cast<int64_t>(out.size());
-      for (const NodeId x : out) {
-        if constexpr (kCountOnly<Emit>) {
-          tri += row.Contains(x);
-        } else if (row.Contains(x)) {
-          ++tri;
-          emit(x, y, z);
-        }
-      }
-    }
-    ops.triangles += tri;
-  });
-  return ops;
-}
-
-// Window arguments (intersect_engine.h): [0, y) for E1, (x, z) for E4.
-
-/// E1: visit z; for y in N+(z), intersect N+(z) below y with N+(y).
-template <typename Emit, typename Isect>
-OpCounts SliceE1(const OrientedGraph& g, Cut lo, Cut hi, Emit emit,
-                 Isect isect) {
-  OpCounts ops;
-  ForEachRow(Method::kE1, g, lo, hi, [&](NodeId z, size_t p0, size_t p1) {
-    const auto out = g.OutNeighbors(z);
-    for (size_t idx = p0; idx < p1; ++idx) {
-      const NodeId y = out[idx];
-      const auto local = out.first(idx);  // elements of N+(z) below y
-      const auto remote = g.OutNeighbors(y);
-      ops.local_scans += static_cast<int64_t>(local.size());
-      ops.remote_scans += static_cast<int64_t>(remote.size());
-      isect(local, {z, true}, remote, {y, true}, 0, y,
-            &ops.merge_comparisons, [&](NodeId x) {
-              ++ops.triangles;
-              emit(x, y, z);
-            });
-    }
-  });
-  return ops;
-}
-
-/// E4: visit z; for x in N+(z), intersect N+(z) above x with N-(x) below z.
-template <typename Emit, typename Isect>
-OpCounts SliceE4(const OrientedGraph& g, Cut lo, Cut hi, Emit emit,
-                 Isect isect) {
-  OpCounts ops;
-  ForEachRow(Method::kE4, g, lo, hi, [&](NodeId z, size_t p0, size_t p1) {
-    const auto out = g.OutNeighbors(z);
-    for (size_t idx = p0; idx < p1; ++idx) {
-      const NodeId x = out[idx];
-      const auto local = out.subspan(idx + 1);  // y candidates above x
-      const auto remote = PrefixBelow(g.InNeighbors(x), z);
-      ops.local_scans += static_cast<int64_t>(local.size());
-      ops.remote_scans += static_cast<int64_t>(remote.size());
-      isect(local, {z, true}, remote, {x, false}, x + 1, z,
-            &ops.merge_comparisons, [&](NodeId y) {
-              ++ops.triangles;
-              emit(x, y, z);
-            });
-    }
-  });
-  return ops;
-}
-
-template <typename Emit>
-OpCounts DispatchSlice(Method m, const OrientedGraph& g,
-                       const DirectedEdgeSet* arcs, Cut lo, Cut hi,
-                       Emit emit, simd::IntersectEngine* engine) {
-  switch (m) {
-    case Method::kT1: return SliceT1(g, *arcs, lo, hi, emit);
-    case Method::kT2: return SliceT2(g, *arcs, lo, hi, emit);
-    case Method::kE1:
-      return sei::WithIsect(engine, [&](auto isect) {
-        return SliceE1(g, lo, hi, emit, isect);
-      });
-    case Method::kE4:
-      return sei::WithIsect(engine, [&](auto isect) {
-        return SliceE4(g, lo, hi, emit, isect);
-      });
-    default: break;
+/// The role of c: the one neither o nor w plays.
+constexpr Role FoundRole(const SearchPattern& p) {
+  for (const Role r : {Role::kX, Role::kY, Role::kZ}) {
+    if (r != p.outer && r != p.inner) return r;
   }
-  TRILIST_DCHECK(false);
-  return OpCounts{};
+  return Role::kX;
+}
+
+/// What every row of a slice reads besides its node and positions.
+struct SliceArgs {
+  const OrientedGraph& g;
+  const DirectedEdgeSet* arcs;
+  Cut lo;
+  Cut hi;
+  Marker* marker;
+};
+
+/// Method M at the outer positions [p0, p1) of node o: the search pattern
+/// of M walked with M's family check (see the file comment of
+/// fundamental.h), counted into *ops. Kept out of line, one call per row,
+/// so the probe loops keep their counters in registers.
+template <Method M, typename Emit, typename Isect>
+[[gnu::noinline]] void Row(const SliceArgs& a, NodeId o, size_t p0,
+                           size_t p1, Emit emit, Isect isect,
+                           OpCounts* ops_out) {
+  constexpr SearchPattern P = PatternOf(M);
+  constexpr Family F = MethodFamily(M);
+  const OrientedGraph& g = a.g;
+  const DirectedEdgeSet* arcs = a.arcs;
+  OpCounts& ops = *ops_out;
+  const auto outer = List(g, o, P.outer_out);
+  const auto other = List(g, o, !P.outer_out);
+  if constexpr (F == Family::kLookupEdgeIterator) {
+    const auto marked = P.local == LocalPart::kOther ? other : outer;
+    // Charged by the slice holding position 0, so a row split across
+    // chunks is built once in the counters.
+    if (p0 == 0) ops.hash_inserts += static_cast<int64_t>(marked.size());
+    if (p0 < p1) a.marker->MarkAll(marked);
+  }
+  int64_t tri = 0;
+  for (size_t p = p0; p < p1; ++p) {
+    const NodeId w = outer[p];
+    const auto local = P.local == LocalPart::kOther    ? other
+                       : P.local == LocalPart::kBefore ? outer.first(p)
+                                                       : outer.subspan(p + 1);
+    const auto found = [&](NodeId c) {
+      ++tri;
+      emit(Corner(P, Role::kX, o, w, c), Corner(P, Role::kY, o, w, c),
+           Corner(P, Role::kZ, o, w, c));
+    };
+    if constexpr (F == Family::kVertexIterator) {
+      ops.candidate_checks += static_cast<int64_t>(local.size());
+      if constexpr (P.remote_out) {  // c in N+(w): probe w's row
+        const auto row = arcs->Row(w);
+        for (const NodeId c : local) {
+          if constexpr (kCountOnly<Emit>) {
+            tri += row.Contains(c);
+          } else if (row.Contains(c)) {
+            found(c);
+          }
+        }
+      } else {  // c in N-(w): probe the arc c -> w
+        for (const NodeId c : local) {
+          if constexpr (kCountOnly<Emit>) {
+            tri += arcs->Contains(c, w);
+          } else if (arcs->Contains(c, w)) {
+            found(c);
+          }
+        }
+      }
+    } else {
+      auto remote = List(g, w, P.remote_out);
+      if constexpr (P.restriction == Restriction::kAbove) {
+        remote = sei::SuffixAbove(remote, o);
+        ++ops.binary_searches;
+      }
+      if constexpr (F == Family::kScanningEdgeIterator) {
+        if constexpr (P.restriction == Restriction::kBelow) {
+          remote = sei::PrefixBelow(remote, o);
+        }
+        constexpr Role C = FoundRole(P);
+        constexpr bool kLocalOut =
+            P.local == LocalPart::kOther ? !P.outer_out : P.outer_out;
+        ops.local_scans += static_cast<int64_t>(local.size());
+        ops.remote_scans += static_cast<int64_t>(remote.size());
+        // Both spans lie in c's label window: x in [0, y), y in
+        // (x, z), z in (y, n).
+        const NodeId lo =
+            C == Role::kX ? 0
+                          : Corner(P, C == Role::kY ? Role::kX : Role::kY,
+                                   o, w, 0) + 1;
+        const NodeId hi =
+            C == Role::kX   ? Corner(P, Role::kY, o, w, 0)
+            : C == Role::kY ? Corner(P, Role::kZ, o, w, 0)
+                            : static_cast<NodeId>(g.num_nodes());
+        isect(local, {o, kLocalOut}, remote, {w, P.remote_out}, lo, hi,
+              &ops.merge_comparisons, found);
+      } else {
+        // A remote list cut below o is its sorted prefix: the probes stop
+        // at o, with no search for the cut.
+        int64_t probes = 0;
+        for (const NodeId c : remote) {
+          if constexpr (P.restriction == Restriction::kBelow) {
+            if (c >= o) break;
+          }
+          ++probes;
+          if constexpr (kCountOnly<Emit>) {
+            tri += a.marker->Has(c);
+          } else if (a.marker->Has(c)) {
+            found(c);
+          }
+        }
+        ops.lookups += probes;
+      }
+    }
+  }
+  ops.triangles += tri;
+}
+
+/// Method M over the slice [a.lo, a.hi), with its family's intersection
+/// policy: the engine's for a scanning edge iterator, none otherwise.
+template <Method M, typename Emit>
+OpCounts Slice(const SliceArgs& a, Emit emit,
+               simd::IntersectEngine* engine) {
+  const auto run = [&](auto isect) {
+    OpCounts ops;
+    ForEachRow(M, a.g, a.lo, a.hi, [&](NodeId o, size_t p0, size_t p1) {
+      Row<M>(a, o, p0, p1, emit, isect, &ops);
+    });
+    return ops;
+  };
+  if constexpr (MethodFamily(M) == Family::kScanningEdgeIterator) {
+    return sei::WithIsect(engine, run);
+  } else {
+    return run(sei::DirectMerge{});
+  }
+}
+
+/// One instantiation per method, indexed by Method.
+template <typename Emit, size_t... I>
+OpCounts DispatchSlice(Method m, const SliceArgs& a, Emit emit,
+                       simd::IntersectEngine* engine,
+                       std::index_sequence<I...>) {
+  using Fn = OpCounts (*)(const SliceArgs&, Emit, simd::IntersectEngine*);
+  static constexpr Fn kSlices[] = {
+      &Slice<static_cast<Method>(I), Emit>...};
+  return kSlices[static_cast<size_t>(m)](a, emit, engine);
 }
 
 }  // namespace
 
-OpCounts RunSlice(Method m, const OrientedGraph& g,
-                  const DirectedEdgeSet* arcs, Cut lo, Cut hi,
-                  TriangleSink* sink, simd::IntersectEngine* engine) {
-  if (sink == nullptr) {  // count only: ops.triangles is the count
-    return DispatchSlice(m, g, arcs, lo, hi, NoEmit{}, engine);
-  }
-  return DispatchSlice(
-      m, g, arcs, lo, hi,
-      [sink](NodeId x, NodeId y, NodeId z) { sink->Consume(x, y, z); },
-      engine);
+int64_t PositionWeight(Method m, const OrientedGraph& g, NodeId v,
+                       size_t p) {
+  const SearchPattern& pat = PatternOf(m);
+  const auto outer = List(g, v, pat.outer_out);
+  const size_t local = pat.local == LocalPart::kOther
+                           ? List(g, v, !pat.outer_out).size()
+                       : pat.local == LocalPart::kBefore
+                           ? p
+                           : outer.size() - 1 - p;
+  const Family family = MethodFamily(m);
+  if (family == Family::kVertexIterator) return static_cast<int64_t>(local);
+  const auto remote =
+      static_cast<int64_t>(List(g, outer[p], pat.remote_out).size());
+  if (family == Family::kLookupEdgeIterator) return remote;
+  return static_cast<int64_t>(local) + remote;
 }
 
-OpCounts RunFundamental(Method m, const OrientedGraph& g,
-                        const DirectedEdgeSet* arcs, TriangleSink* sink,
-                        simd::IntersectEngine* engine) {
+OpCounts RunSlice(Method m, const OrientedGraph& g,
+                  const DirectedEdgeSet* arcs, Cut lo, Cut hi,
+                  TriangleSink* sink, simd::IntersectEngine* engine,
+                  Marker* marker) {
+  const SliceArgs a{g, arcs, lo, hi, marker};
+  constexpr auto kMethods = std::make_index_sequence<kNumMethods>{};
+  if (sink == nullptr) {  // count only: ops.triangles is the count
+    return DispatchSlice(m, a, NoEmit{}, engine, kMethods);
+  }
+  return DispatchSlice(m, a, SinkEmit{sink}, engine, kMethods);
+}
+
+OpCounts RunSerial(Method m, const OrientedGraph& g,
+                   const DirectedEdgeSet* arcs, TriangleSink* sink,
+                   simd::IntersectEngine* engine) {
   const Cut end{static_cast<NodeId>(g.num_nodes()), 0};
+  std::optional<Marker> marker;
+  if (MethodFamily(m) == Family::kLookupEdgeIterator) {
+    marker.emplace(g.num_nodes());
+  }
+  Marker* const mark = marker ? &*marker : nullptr;
   // A counting sink only needs the total, as in the parallel engine: run
   // the count-only slice and credit the sink once.
   if (auto* counter = dynamic_cast<CountingSink*>(sink)) {
-    const OpCounts ops = RunSlice(m, g, arcs, Cut{}, end, nullptr, engine);
+    const OpCounts ops =
+        RunSlice(m, g, arcs, Cut{}, end, nullptr, engine, mark);
     counter->Add(static_cast<uint64_t>(ops.triangles));
     return ops;
   }
-  return RunSlice(m, g, arcs, Cut{}, end, sink, engine);
+  return RunSlice(m, g, arcs, Cut{}, end, sink, engine, mark);
 }
 
 }  // namespace trilist

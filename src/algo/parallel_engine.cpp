@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <memory>
+#include <mutex>
 #include <vector>
 
 #include "src/algo/fundamental.h"
@@ -9,7 +11,6 @@
 #include "src/algo/simd/intersect_engine.h"
 #include "src/obs/trace.h"
 #include "src/util/parallel_for.h"
-#include "src/util/status.h"
 
 namespace trilist {
 
@@ -20,32 +21,12 @@ namespace {
 /// chunk cannot idle the rest of the pool.
 constexpr size_t kChunksPerThread = 8;
 
-/// Paper-cost weight of one outer position (see the header): the work the
-/// serial kernel performs at (v, p). The planner adds 1 per position on
-/// top, so zero-cost positions still advance chunk boundaries.
-int64_t PositionWeight(Method m, const OrientedGraph& g, NodeId v,
-                       size_t p) {
-  switch (m) {
-    case Method::kT1:
-      return static_cast<int64_t>(p);  // pairs (a, b) with a < b = p
-    case Method::kT2:
-      return g.OutDegree(v);  // each in-neighbor scans the full out-list
-    case Method::kE1:
-      return static_cast<int64_t>(p) + g.OutDegree(g.OutNeighbors(v)[p]);
-    case Method::kE4:
-      return static_cast<int64_t>(g.OutNeighbors(v).size() - 1 - p) +
-             g.InDegree(g.OutNeighbors(v)[p]);
-    default:
-      TRILIST_DCHECK(false);
-      return 1;
-  }
-}
-
 /// Cuts the concatenated position space into `num_chunks` contiguous
 /// slices of near-equal total weight. Returns num_chunks + 1 cuts with
 /// cuts[0] = begin and cuts[num_chunks] = end; chunks may be empty when
 /// the graph has fewer positions than chunks. Deterministic: depends only
-/// on the graph and the chunk count.
+/// on the graph and the chunk count. A position weighs its PositionWeight
+/// plus 1, so zero-cost positions still advance chunk boundaries.
 std::vector<Cut> PlanCuts(Method m, const OrientedGraph& g,
                           size_t num_chunks) {
   const size_t n = g.num_nodes();
@@ -87,6 +68,39 @@ std::vector<Cut> PlanCuts(Method m, const OrientedGraph& g,
   return cuts;
 }
 
+/// The markers of the in-flight chunks of a lookup edge iterator (n > 0):
+/// a chunk takes a free one, or makes one when all are in use, and gives
+/// it back, so there are never more than the pool's threads. For the
+/// other methods (n = 0) every marker is null.
+class MarkerPool {
+ public:
+  explicit MarkerPool(size_t n) : n_(n) {}
+
+  std::unique_ptr<Marker> Take() {
+    if (n_ == 0) return nullptr;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      if (!free_.empty()) {
+        std::unique_ptr<Marker> marker = std::move(free_.back());
+        free_.pop_back();
+        return marker;
+      }
+    }
+    return std::make_unique<Marker>(n_);
+  }
+
+  void Return(std::unique_ptr<Marker> marker) {
+    if (marker == nullptr) return;
+    std::lock_guard<std::mutex> lock(mu_);
+    free_.push_back(std::move(marker));
+  }
+
+ private:
+  size_t n_;
+  std::mutex mu_;
+  std::vector<std::unique_ptr<Marker>> free_;
+};
+
 /// Field-wise accumulation; all counters are exact integer sums over a
 /// partition of the serial iteration space, so order cannot matter.
 void AddInto(OpCounts* total, const OpCounts& part) {
@@ -102,21 +116,15 @@ void AddInto(OpCounts* total, const OpCounts& part) {
 
 }  // namespace
 
-bool SupportsParallel(Method m) {
-  return m == Method::kT1 || m == Method::kT2 || m == Method::kE1 ||
-         m == Method::kE4;
-}
-
 OpCounts RunMethodParallel(Method m, const OrientedGraph& g,
                            const DirectedEdgeSet& arcs, TriangleSink* sink,
                            const ExecPolicy& policy) {
   return RunMethod(m, g, arcs, sink, policy);
 }
 
-OpCounts RunFundamentalParallel(Method m, const OrientedGraph& g,
-                                const DirectedEdgeSet* arcs,
-                                TriangleSink* sink,
-                                const ExecPolicy& policy) {
+OpCounts RunParallel(Method m, const OrientedGraph& g,
+                     const DirectedEdgeSet* arcs, TriangleSink* sink,
+                     const ExecPolicy& policy) {
   const int threads = std::max(1, policy.threads);
   const size_t num_chunks =
       static_cast<size_t>(threads) * kChunksPerThread;
@@ -127,6 +135,9 @@ OpCounts RunFundamentalParallel(Method m, const OrientedGraph& g,
   CountingSink* counter = dynamic_cast<CountingSink*>(sink);
   std::vector<OpCounts> ops(num_chunks);
   std::vector<CollectingSink> buffers(counter != nullptr ? 0 : num_chunks);
+  MarkerPool markers(MethodFamily(m) == Family::kLookupEdgeIterator
+                         ? g.num_nodes()
+                         : 0);
   ThreadPool pool(threads);
   pool.ParallelFor(num_chunks, [&](size_t c) {
     obs::TraceSpan span("chunk");
@@ -137,8 +148,11 @@ OpCounts RunFundamentalParallel(Method m, const OrientedGraph& g,
     // thread-safe) over the one immutable index.
     simd::IntersectEngine engine(policy.intersect,
                                  policy.bitmap_index.get());
+    std::unique_ptr<Marker> marker = markers.Take();
     ops[c] = RunSlice(m, g, arcs, cuts[c], cuts[c + 1],
-                      counter != nullptr ? nullptr : &buffers[c], &engine);
+                      counter != nullptr ? nullptr : &buffers[c], &engine,
+                      marker.get());
+    markers.Return(std::move(marker));
     span.Arg("ops", ops[c].PaperCost());
   });
   OpCounts total;

@@ -2,8 +2,8 @@
 
 #include "src/algo/cost.h"
 #include "src/algo/exec_policy.h"
+#include "src/algo/fundamental.h"  // OpCounts
 #include "src/algo/triangle_sink.h"
-#include "src/algo/vertex_iterator.h"
 #include "src/graph/edge_set.h"
 #include "src/graph/oriented_graph.h"
 
@@ -17,10 +17,9 @@ namespace trilist {
 /// Runs `m` on the oriented graph under an execution policy, reusing a
 /// caller-provided arc set for vertex iterators (the set is ignored by
 /// the other families).
-///  - With exec.threads > 1 the four fundamental methods (T1, T2, E1, E4)
-///    run on the parallel engine (see parallel_engine.h), which reports
-///    bit-identical triangles and counters to the serial run; every other
-///    method runs serial.
+///  - With exec.threads > 1 every method runs on the parallel engine (see
+///    parallel_engine.h), which reports bit-identical triangles and
+///    counters to the serial run.
 ///  - The scanning edge iterators intersect through one
 ///    simd::IntersectEngine on exec.intersect (and, for kBitmap, the
 ///    policy's index or one built for this run).

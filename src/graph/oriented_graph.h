@@ -67,12 +67,15 @@ class OrientedGraph {
   size_t num_arcs() const { return out_neighbors_.size(); }
 
   /// Out-neighbors N+(i): labels smaller than i, sorted ascending.
-  std::span<const NodeId> OutNeighbors(NodeId i) const {
+  /// Forced inline: the listing kernels read a row per outer position.
+  [[gnu::always_inline]] std::span<const NodeId> OutNeighbors(
+      NodeId i) const {
     return out_neighbors_.subspan(out_offsets_[i],
                                   out_offsets_[i + 1] - out_offsets_[i]);
   }
   /// In-neighbors N-(i): labels larger than i, sorted ascending.
-  std::span<const NodeId> InNeighbors(NodeId i) const {
+  [[gnu::always_inline]] std::span<const NodeId> InNeighbors(
+      NodeId i) const {
     return in_neighbors_.subspan(in_offsets_[i],
                                  in_offsets_[i + 1] - in_offsets_[i]);
   }

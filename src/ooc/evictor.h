@@ -18,7 +18,7 @@
 /// partition, bytes streamed per pass) is actual page traffic: the
 /// resident partition's out-lists stay mapped for the whole pass while
 /// every streamed list is touched once and then evicted. Triangle counts
-/// and CPU OpCounts are those of the in-memory RunE1/RunE2: the loop is
+/// and CPU OpCounts are those of the in-memory E1/E2: the loop is
 /// the xm executor's; only page residency differs.
 
 namespace trilist::ooc {

@@ -6,7 +6,7 @@
 #include <vector>
 
 #include "src/algo/cost.h"
-#include "src/algo/vertex_iterator.h"
+#include "src/algo/fundamental.h"
 #include "src/obs/degree_profile.h"
 #include "src/util/metrics.h"
 #include "src/xm/partitioned.h"  // IoStats

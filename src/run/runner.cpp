@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "src/algo/cost.h"
-#include "src/algo/parallel_engine.h"
 #include "src/algo/registry.h"
 #include "src/algo/simd/intersect_engine.h"
 #include "src/cost/cost_model.h"
@@ -268,7 +267,7 @@ Status ListOnOriented(const OrientedGraph& oriented,
     MethodReport mr;
     mr.method = m;
     mr.formula_cost = MethodCostTotal(oriented, m);
-    mr.parallel = exec.threads > 1 && SupportsParallel(m);
+    mr.parallel = exec.threads > 1;
     if (MethodFamily(m) == Family::kScanningEdgeIterator) {
       mr.intersect_backend = IntersectBackendName(exec.intersect);
     }

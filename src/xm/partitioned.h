@@ -3,8 +3,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "src/algo/fundamental.h"  // OpCounts
 #include "src/algo/triangle_sink.h"
-#include "src/algo/vertex_iterator.h"  // OpCounts
 #include "src/graph/oriented_graph.h"
 
 /// \file partitioned.h
@@ -82,14 +82,14 @@ class PassObserver {
   virtual void EndPass() = 0;
 };
 
-/// Partitioned E1: identical output and CPU counters to RunE1, plus the
-/// I/O ledger in *io (may be null). `observer` (may be null) sees every
-/// pass.
+/// Partitioned E1: identical output and CPU counters to the in-memory E1
+/// (RunMethod), plus the I/O ledger in *io (may be null). `observer` (may
+/// be null) sees every pass.
 OpCounts RunPartitionedE1(const OrientedGraph& g, const Partitioning& parts,
                           TriangleSink* sink, IoStats* io,
                           PassObserver* observer = nullptr);
 
-/// Partitioned E2: identical output and CPU counters to RunE2.
+/// Partitioned E2: identical output and CPU counters to the in-memory E2.
 OpCounts RunPartitionedE2(const OrientedGraph& g, const Partitioning& parts,
                           TriangleSink* sink, IoStats* io,
                           PassObserver* observer = nullptr);

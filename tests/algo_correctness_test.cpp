@@ -16,6 +16,7 @@
 #include "src/graph/builder.h"
 #include "src/order/pipeline.h"
 #include "src/util/rng.h"
+#include "tests/expect_same_ops.h"
 
 namespace trilist {
 namespace {
@@ -120,10 +121,43 @@ TEST(BruteForceTest, KnownCounts) {
   EXPECT_EQ(CountTrianglesReference(MakeBowTie(3)), 2u);
 }
 
+/// Runs `m` on `og` four ways — serial into a CollectingSink and into a
+/// CountingSink, then the parallel engine on 2 threads (listing) and on 8
+/// (counting) — and requires each to reproduce the oracle's triangles
+/// (`expected`, canonical original IDs) or their count, with the same
+/// OpCounts every time.
+void ExpectAllExecutorsAgree(const Graph& g, const OrientedGraph& og,
+                             Method m,
+                             const std::vector<CanonicalTriangle>& expected,
+                             const std::string& label) {
+  CollectingSink serial_sink;
+  const OpCounts serial = RunMethod(m, og, &serial_sink);
+  ASSERT_EQ(ToCanonical(og, serial_sink), expected) << label;
+  EXPECT_EQ(serial.triangles, static_cast<int64_t>(expected.size()))
+      << label;
+  CountingSink serial_counter;
+  ExpectSameOps(serial, RunMethod(m, og, &serial_counter),
+                label + "/serial count");
+  EXPECT_EQ(serial_counter.count(), expected.size()) << label;
+  ExecPolicy two;
+  two.threads = 2;
+  CollectingSink parallel_sink;
+  ExpectSameOps(serial, RunMethod(m, og, &parallel_sink, two),
+                label + "/2 threads");
+  EXPECT_EQ(parallel_sink.triangles(), serial_sink.triangles()) << label;
+  ExecPolicy eight;
+  eight.threads = 8;
+  CountingSink parallel_counter;
+  ExpectSameOps(serial, RunMethod(m, og, &parallel_counter, eight),
+                label + "/8 threads");
+  EXPECT_EQ(parallel_counter.count(), expected.size()) << label;
+  ASSERT_EQ(CountTrianglesBitset(g), expected.size()) << label;
+}
+
 TEST(DifferentialFuzzTest, RandomGraphsRandomOrdersAllAgree) {
   // Randomized differential testing: on each trial draw a random graph,
-  // a random method, and a random orientation, and require agreement with
-  // two independent oracles.
+  // a random method, and a random orientation, and require every executor
+  // to agree with two independent oracles.
   Rng rng(20170514);
   for (int trial = 0; trial < 60; ++trial) {
     const size_t n = 5 + rng.NextBounded(60);
@@ -134,12 +168,20 @@ TEST(DifferentialFuzzTest, RandomGraphsRandomOrdersAllAgree) {
     const Permutation theta =
         UniformPermutation(g.num_nodes(), &rng);
     const OrientedGraph og = Orient(g, theta);
-    CollectingSink sink;
-    RunMethod(m, og, &sink);
-    const auto expected = NeighborPairTriangles(g);
-    ASSERT_EQ(ToCanonical(og, sink), expected)
-        << "trial " << trial << " method " << MethodName(m);
-    ASSERT_EQ(CountTrianglesBitset(g), expected.size()) << trial;
+    ExpectAllExecutorsAgree(g, og, m, NeighborPairTriangles(g),
+                            "trial " + std::to_string(trial) + " method " +
+                                MethodName(m));
+  }
+  // The degenerate shapes, for every method: no node, no edge, and a
+  // clique (every pair checked is a triangle).
+  for (const Graph& g : {MakeEmpty(0), MakeEmpty(9), MakeComplete(12)}) {
+    const OrientedGraph og =
+        Orient(g, UniformPermutation(g.num_nodes(), &rng));
+    for (Method m : AllMethods()) {
+      ExpectAllExecutorsAgree(g, og, m, NeighborPairTriangles(g),
+                              "n=" + std::to_string(g.num_nodes()) + " " +
+                                  MethodName(m));
+    }
   }
 }
 

@@ -6,7 +6,6 @@
 
 #include "src/algo/brute_force.h"
 #include "src/algo/cost.h"
-#include "src/algo/edge_iterator.h"
 #include "src/algo/registry.h"
 #include "src/degree/graphicality.h"
 #include "src/degree/pareto.h"
@@ -81,7 +80,7 @@ TEST(NoRelabelT1Test, DoublesTheCandidateCount) {
   const DirectedEdgeSet arcs(og);
   CollectingSink relabeled;
   CollectingSink unordered;
-  const OpCounts t1 = RunT1(og, arcs, &relabeled);
+  const OpCounts t1 = RunMethod(Method::kT1, og, arcs, &relabeled);
   const OpCounts t1_nr = RunT1NoRelabel(og, arcs, &unordered);
   // Same triangles...
   EXPECT_EQ(CollectCanonical(relabeled.triangles()).size(),
@@ -95,7 +94,7 @@ TEST(NoRelabelE1Test, LocalScanCannotStopEarly) {
   const OrientedGraph og = OrientNamed(g, PermutationKind::kDescending);
   CollectingSink a;
   CollectingSink b;
-  const OpCounts e1 = RunE1(og, &a);
+  const OpCounts e1 = RunMethod(Method::kE1, og, &a);
   const OpCounts e1_nr = RunE1NoRelabel(og, &b);
   EXPECT_EQ(a.Sorted(), b.Sorted());
   // local doubles (X^2 vs C(X,2)); remote unchanged.

@@ -4,7 +4,7 @@
 
 #include <string>
 
-#include "src/algo/vertex_iterator.h"  // OpCounts
+#include "src/algo/fundamental.h"  // OpCounts
 
 namespace trilist {
 

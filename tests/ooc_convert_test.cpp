@@ -7,9 +7,8 @@
 #include <string>
 #include <vector>
 
-#include "src/algo/edge_iterator.h"
+#include "src/algo/registry.h"
 #include "src/algo/triangle_sink.h"
-#include "src/algo/vertex_iterator.h"
 #include "src/gen/erdos_renyi.h"
 #include "src/graph/binfmt.h"
 #include "src/graph/graph.h"
@@ -243,8 +242,7 @@ TEST(OocPagedCountTest, RunnerMatchesInMemoryExecutorsAndLedger) {
     // Reference: the in-memory kernel, which shares no loop with the
     // partitioned executor the paged path runs.
     CountingSink sink;
-    const OpCounts want =
-        m == Method::kE2 ? RunE2(*og, &sink) : RunE1(*og, &sink);
+    const OpCounts want = RunMethod(m, *og, &sink);
     ExpectSameOps(report->methods.front().ops, want, MethodName(m));
     EXPECT_EQ(report->Triangles(), sink.count());
 

@@ -95,10 +95,24 @@ TEST(ParallelForTest, PrefixSumMatchesSerialScan) {
 /// The three random families of the equivalence matrix: ER, Pareto
 /// configuration model, preferential attachment; plus a clique, whose
 /// orientation concentrates all work on hub rows and so exercises the
-/// mid-vertex chunk cuts.
+/// mid-vertex chunk cuts, and a hub joined to every node of a sparse ER
+/// graph: every triangle meets the hub, so the hub's row carries most of
+/// every method's weight and the chunk cuts land inside it.
 Graph MakeEquivalenceGraph(const std::string& kind) {
   Rng rng(20170514);
   if (kind == "er") return GenerateGnp(400, 0.025, &rng);
+  if (kind == "hub") {
+    const Graph base = GenerateGnp(300, 0.03, &rng);
+    std::vector<Edge> edges;
+    for (size_t u = 0; u < base.num_nodes(); ++u) {
+      const auto node = static_cast<NodeId>(u);
+      edges.push_back({node, 300});
+      for (const NodeId v : base.Neighbors(node)) {
+        if (node < v) edges.push_back({node, v});
+      }
+    }
+    return Graph::FromEdges(301, edges).ValueOrDie();
+  }
   if (kind == "config_pareto") {
     const DiscretePareto base = DiscretePareto::PaperParameterization(1.5);
     const TruncatedDistribution fn(base, 60);
@@ -119,25 +133,31 @@ Graph MakeEquivalenceGraph(const std::string& kind) {
 }
 
 TEST(ParallelEngineTest, MatchesSerialOnAllFamiliesMethodsAndWidths) {
-  for (const std::string kind : {"er", "config_pareto", "pa", "clique"}) {
+  for (const std::string kind :
+       {"er", "config_pareto", "pa", "clique", "star", "hub"}) {
     const Graph g = MakeEquivalenceGraph(kind);
+    // The hub takes the first label under one order and the last under
+    // the other, so both its out-row and its in-row get cut.
     for (PermutationKind order :
-         {PermutationKind::kDescending, PermutationKind::kRoundRobin}) {
+         {PermutationKind::kDescending, PermutationKind::kAscending,
+          PermutationKind::kRoundRobin}) {
       Rng rng(3);
       const OrientedGraph og = OrientNamed(g, order, &rng);
       const DirectedEdgeSet arcs(og);
-      for (Method m :
-           {Method::kT1, Method::kT2, Method::kE1, Method::kE4}) {
+      for (Method m : AllMethods()) {
         CollectingSink serial_sink;
         const OpCounts serial = RunMethod(m, og, arcs, &serial_sink);
         for (int threads : {1, 2, 8}) {
-          const std::string label = kind + "/" + MethodName(m) +
-                                    "/threads=" + std::to_string(threads);
+          const std::string label =
+              kind + "/" + PermutationKindName(order) + "/" +
+              MethodName(m) + "/threads=" + std::to_string(threads);
           ExecPolicy exec;
           exec.threads = threads;
           CollectingSink parallel_sink;
           const OpCounts parallel =
               RunMethodParallel(m, og, arcs, &parallel_sink, exec);
+          // Every field, hash_inserts included: a lookup row split across
+          // chunks is charged its build once.
           ExpectSameOps(serial, parallel, label);
           // Not just the same multiset: the deterministic merge replays
           // chunks in serial order, so the emission sequence is identical.
@@ -164,7 +184,7 @@ TEST(ParallelEngineTest, FineChunkingStaysExact) {
   const Graph g = MakeComplete(5);
   const OrientedGraph og = OrientNamed(g, PermutationKind::kDescending);
   const DirectedEdgeSet arcs(og);
-  for (Method m : {Method::kT1, Method::kT2, Method::kE1, Method::kE4}) {
+  for (Method m : AllMethods()) {
     CollectingSink serial_sink;
     const OpCounts serial = RunMethod(m, og, arcs, &serial_sink);
     ExecPolicy exec;
@@ -174,29 +194,6 @@ TEST(ParallelEngineTest, FineChunkingStaysExact) {
         RunMethodParallel(m, og, arcs, &parallel_sink, exec);
     ExpectSameOps(serial, parallel, MethodName(m));
     EXPECT_EQ(serial_sink.triangles(), parallel_sink.triangles());
-  }
-}
-
-TEST(ParallelEngineTest, SupportsParallelIsExactlyTheFundamentalSet) {
-  for (Method m : AllMethods()) {
-    const bool expected = m == Method::kT1 || m == Method::kT2 ||
-                          m == Method::kE1 || m == Method::kE4;
-    EXPECT_EQ(SupportsParallel(m), expected) << MethodName(m);
-  }
-}
-
-TEST(ParallelEngineTest, UnsupportedMethodsFallBackToSerial) {
-  const Graph g = MakeEquivalenceGraph("er");
-  const OrientedGraph og = OrientNamed(g, PermutationKind::kDescending);
-  for (Method m : {Method::kT3, Method::kE5, Method::kL1}) {
-    CollectingSink serial_sink;
-    const OpCounts serial = RunMethod(m, og, &serial_sink);
-    ExecPolicy exec;
-    exec.threads = 8;
-    CollectingSink fallback_sink;
-    const OpCounts fallback = RunMethod(m, og, &fallback_sink, exec);
-    ExpectSameOps(serial, fallback, MethodName(m));
-    EXPECT_EQ(serial_sink.triangles(), fallback_sink.triangles());
   }
 }
 
@@ -218,7 +215,7 @@ TEST(ParallelEngineTest, RegistryPolicyOverloadBuildsArcsItself) {
 TEST(ParallelEngineTest, EmptyAndTriangleFreeGraphs) {
   for (const Graph& g : {MakeEmpty(30), MakeStar(30), MakePath(30)}) {
     const OrientedGraph og = OrientNamed(g, PermutationKind::kAscending);
-    for (Method m : {Method::kT1, Method::kT2, Method::kE1, Method::kE4}) {
+    for (Method m : AllMethods()) {
       ExecPolicy exec;
       exec.threads = 8;
       CountingSink sink;

@@ -4,7 +4,7 @@
 
 #include <string>
 
-#include "src/algo/edge_iterator.h"
+#include "src/algo/registry.h"
 #include "src/degree/graphicality.h"
 #include "src/degree/pareto.h"
 #include "src/degree/truncated.h"
@@ -67,7 +67,7 @@ TEST_P(PartitionedEquivalenceTest, E1MatchesInMemory) {
   const Graph g = HeavyGraph(600, 3);
   const OrientedGraph og = OrientNamed(g, PermutationKind::kDescending);
   CollectingSink reference;
-  const OpCounts mem = RunE1(og, &reference);
+  const OpCounts mem = RunMethod(Method::kE1, og, &reference);
   const Partitioning parts(og, k);
   CollectingSink partitioned;
   IoStats io;
@@ -88,7 +88,7 @@ TEST_P(PartitionedEquivalenceTest, E2MatchesInMemory) {
   const Graph g = HeavyGraph(600, 4);
   const OrientedGraph og = OrientNamed(g, PermutationKind::kDescending);
   CollectingSink reference;
-  const OpCounts mem = RunE2(og, &reference);
+  const OpCounts mem = RunMethod(Method::kE2, og, &reference);
   const Partitioning parts(og, k);
   CollectingSink partitioned;
   IoStats io;

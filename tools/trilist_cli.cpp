@@ -6,7 +6,7 @@
 ///
 /// --threads semantics are uniform across all subcommands that accept the
 /// flag (count, run, convert): N > 1 uses the parallel engine for
-/// orientation and the fundamental methods (T1/T2/E1/E4), N == 0 means
+/// orientation and every listing method, N == 0 means
 /// "all hardware threads", and results are bit-identical to the serial
 /// run for any value.
 ///

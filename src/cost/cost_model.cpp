@@ -12,12 +12,8 @@ namespace trilist::cost {
 namespace {
 
 double DerivedSimdSpeedup() {
-  switch (ActiveSimdLevel()) {
-    case SimdLevel::kScalar: return 1.0;
-    case SimdLevel::kAvx2: return 4.0;
-    case SimdLevel::kAvx512: return 8.0;
-  }
-  return 1.0;
+  return ActiveSimdLevel() == SimdLevel::kScalar ? 1.0
+                                                  : kMeasuredSimdSpeedup;
 }
 
 }  // namespace

@@ -23,33 +23,67 @@
 ///     h(q_i(theta)) (Proposition 4) — elementary operations of the
 ///     method's own kind, comparable only within a family.
 ///   - PredictedCost: ops scaled by per-operation weights so families
-///     become comparable (Table 3: scanning intersection steps are ~95x
-///     cheaper than hash probes or candidate-tuple checks — the
-///     advisor's sei_speedup convention), then divided by the backend
-///     speedup for scanning edge iterators (SIMD/bitmap accelerate the
-///     intersection loop only; vertex and lookup iterators never touch
-///     it).
+///     become comparable, then divided by the backend speedup for
+///     scanning edge iterators (SIMD/bitmap accelerate the intersection
+///     loop only; vertex and lookup iterators never touch it).
+///
+/// The weights are measured on this code base, not taken from the
+/// paper's Table 3 (~95 scanning steps per hash probe or candidate
+/// check, and 4-8x for SIMD by lane width). Here an arc probe is one
+/// 8-slot group compare and a lookup one indexed load of a dense epoch
+/// marker, so both cost a few scanning steps at most. Each constant is ns
+/// per paper op relative to E1 on the scalar merge (the numeraire,
+/// weight 1), from
+///
+///   trilist_cli run --in G.tlg --methods T1,E1,L1,L2 --order D
+///       --intersect merge|simd|bitmap --repeats 5 --report json
+///
+/// (wall_s / paper_cost, min over >= 10 runs alternating the backends) on
+/// three inputs with theta_D embedded: pareto (`generate --n 100000
+/// --alpha 1.5 --seed 1`), hub (`--alpha 1.3 --trunc linear`) and dense
+/// (G(1000, 1/2)); one 4-vCPU shared Intel Xeon with AVX-512, GCC 12.2,
+/// RelWithDebInfo. ns per paper op:
+///
+///   input   E1/merge  E1/simd  E1/bitmap   T1     L1     L2
+///   pareto    3.71      3.43     3.42     7.39   1.74   4.61
+///   hub       2.34      2.11     2.10     5.45   0.90   2.40
+///   dense     2.72      2.06     0.53     3.34   0.59   0.82
+///
+/// Each constant is the median of its ratios to E1/merge over the three
+/// inputs (L1 and L2 both price lookups), to two digits: vertex 2.0
+/// (1.23-2.33), lookup 0.43 (0.22-1.25), simd 1.1 (1.08-1.32), bitmap
+/// 1.1 (1.08-1.12, and 5.2 on dense, where hub bitmaps cover every
+/// row). Two orders matter more than the values: lookup < vertex, so a
+/// lookup iterator beats its vertex twin, whose predicted ops it equals,
+/// and whose arc index it does not build; and simd = bitmap, so the
+/// tie goes to simd, enumerated first, which builds no hub index.
 
 namespace trilist::cost {
 
-/// Per-operation weights and backend speedups. The defaults encode the
-/// paper's measured Table-3 ratios; zero or negative simd_speedup means
-/// "derive from the CPU level this process actually dispatches to".
+/// Per-operation weights and backend speedups. The defaults are the
+/// measured constants of the file comment; zero or negative
+/// simd_speedup means "derive from the CPU level this process actually
+/// dispatches to".
 struct CostModelParams {
-  /// Weight of one vertex-iterator candidate-tuple check, relative to one
-  /// scanning-intersection step (the advisor's sei_speedup = 95).
-  double vertex_op_weight = 95.0;
+  /// Weight of one vertex-iterator candidate-tuple check (an arc probe),
+  /// relative to one scanning-intersection step.
+  double vertex_op_weight = 2.0;
   /// Weight of one scanning-intersection step (the numeraire).
   double scan_op_weight = 1.0;
-  /// Weight of one hash probe (lookup edge iterators).
-  double lookup_op_weight = 95.0;
+  /// Weight of one lookup (a marker load; lookup edge iterators). Below
+  /// vertex_op_weight, so L2 (L1) beats T1 (T2) on equal ops.
+  double lookup_op_weight = 0.43;
 
   /// SEI-only backend speedups (divide the weighted SEI cost).
-  /// simd_speedup <= 0 derives from ActiveSimdLevel(): scalar 1, AVX2 4,
-  /// AVX-512 8 (lane width over the scalar two-pointer merge).
+  /// simd_speedup <= 0 derives from ActiveSimdLevel(): 1 on a scalar
+  /// host (the SIMD backend runs the merge there), else
+  /// kMeasuredSimdSpeedup (measured on AVX-512; AVX2 is unmeasured).
   double simd_speedup = 0.0;
-  double bitmap_speedup = 2.0;
+  double bitmap_speedup = 1.1;
 };
+
+/// The measured E1/merge over E1/simd wall ratio (file comment).
+inline constexpr double kMeasuredSimdSpeedup = 1.1;
 
 /// \brief Prices (method, ordering, backend) triples for one degree
 /// sequence. Thread-safe; memoizes per ordering: the first query of an

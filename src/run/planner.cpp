@@ -4,6 +4,14 @@
 
 namespace trilist {
 
+const std::vector<Method>& PlannerMethodCandidates() {
+  static const std::vector<Method> methods{
+      Method::kT1, Method::kT2, Method::kE1,
+      Method::kE4, Method::kL1, Method::kL2,
+  };
+  return methods;
+}
+
 const std::vector<PermutationKind>& PlannerOrderCandidates() {
   static const std::vector<PermutationKind> kinds{
       PermutationKind::kAscending,
@@ -36,12 +44,15 @@ bool AnySei(const std::vector<Method>& methods) {
 
 PlanResult ResolvePlan(const cost::CostModel& model,
                        const PlannerRequest& req) {
-  // Method axis: `auto` races the four fundamental representatives
-  // (Section 2.4 — every other baseline is cost-isomorphic to one of
-  // them) as single-method plans; pinned methods run together as one.
+  // Method axis: `auto` races PlannerMethodCandidates() as
+  // single-method plans; pinned methods run together as one. T1 comes
+  // before L2 (and T2 before L1), so an L method, whose ops equal its
+  // vertex twin's, wins only through a lower per-op weight.
   std::vector<std::vector<Method>> method_sets;
   if (req.auto_method) {
-    for (const Method m : FundamentalMethods()) method_sets.push_back({m});
+    for (const Method m : PlannerMethodCandidates()) {
+      method_sets.push_back({m});
+    }
   } else {
     method_sets.push_back(req.methods);
   }

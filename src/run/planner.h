@@ -47,6 +47,15 @@ struct PlanResult {
   std::vector<PlanCandidate> candidates;
 };
 
+/// The methods the planner races under `--methods auto`, each as a
+/// single-method plan: the four fundamental representatives T1, T2, E1
+/// and E4 (Section 2.4: every other vertex or scanning-edge iterator is
+/// cost-isomorphic to one of them under the order axis) plus the lookup
+/// edge iterators L1 and L2, which Table 2 puts in the T2 and T1 cost
+/// classes and which L3-L6 mirror the same way. `FundamentalMethods()`
+/// stays the meaning of `--methods fundamental`.
+const std::vector<Method>& PlannerMethodCandidates();
+
 /// The ordering kinds the planner enumerates under `--order auto`: the
 /// four closed-form positional families plus the degree-tailored split.
 /// theta_U is excluded (never optimal — Corollary 3 territory); the

@@ -377,8 +377,8 @@ Result<RunReport> RunPipeline(const RunSpec& spec) {
 
   // 1b. Resolve any free plan axes against the realized degree sequence
   // ("plan" stage): the planner overrides orient/methods/backend with
-  // the minimum-predicted-cost choice, and the model stays alive so the
-  // measured run can be priced in the same currency afterwards.
+  // the minimum-predicted-cost choice, and the model's weights stay so
+  // the measured run can be priced in the same currency afterwards.
   OrientSpec orient = spec.orient;
   std::vector<Method> methods = spec.methods;
   std::optional<cost::CostModel> cost_model;
@@ -394,6 +394,10 @@ Result<RunReport> RunPipeline(const RunSpec& spec) {
       request.orient = spec.orient;
       request.intersect = exec.intersect;
       const PlanResult plan = ResolvePlan(*cost_model, request);
+      // The audit below reads only the weights: free the O(n) degree
+      // sequence before the listing allocates its own buffers.
+      const cost::CostModelParams weights = cost_model->params();
+      cost_model.emplace(std::vector<int64_t>{}, weights);
       orient = plan.chosen.orient;
       methods = plan.chosen.methods;
       exec.intersect = plan.chosen.intersect;

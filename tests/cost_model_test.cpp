@@ -17,6 +17,7 @@
 #include "src/order/registry.h"
 #include "src/order/split.h"
 #include "src/run/planner.h"
+#include "src/util/cpu_features.h"
 #include "src/util/rng.h"
 
 namespace trilist {
@@ -246,19 +247,29 @@ TEST(CostModelTest, UniformPricingIsSeedDeterministic) {
                        SequenceConditionalCost(degrees, theta, Method::kE1));
 }
 
-TEST(CostModelTest, FamilyWeightsFollowTable3) {
+TEST(CostModelTest, FamilyWeightsAreTheMeasuredConstants) {
   const cost::CostModel model(SkewedDegrees(32));
-  const double w = model.params().vertex_op_weight;
-  EXPECT_DOUBLE_EQ(model.FamilyWeight(Method::kT1), w);
-  EXPECT_DOUBLE_EQ(model.FamilyWeight(Method::kE1),
-                   model.params().scan_op_weight);
-  EXPECT_DOUBLE_EQ(model.FamilyWeight(Method::kL1),
-                   model.params().lookup_op_weight);
+  // The constants measured in cost_model.h, in E1/merge units.
+  for (const Method m : AllMethods()) {
+    const Family family = MethodFamily(m);
+    const double want = family == Family::kVertexIterator       ? 2.0
+                        : family == Family::kLookupEdgeIterator ? 0.43
+                                                                : 1.0;
+    EXPECT_DOUBLE_EQ(model.FamilyWeight(m), want) << MethodName(m);
+  }
+  EXPECT_DOUBLE_EQ(model.BackendSpeedup(IntersectBackend::kBitmap), 1.1);
+  // Their order: a lookup is cheaper than an arc probe (else T1 wins
+  // L2's tie), and no backend slows the scanning step down.
+  EXPECT_LT(model.params().lookup_op_weight,
+            model.params().vertex_op_weight);
+  EXPECT_GE(model.BackendSpeedup(IntersectBackend::kSimd), 1.0);
+  EXPECT_GE(model.BackendSpeedup(IntersectBackend::kBitmap), 1.0);
 }
 
 TEST(CostModelTest, BackendSpeedupDividesOnlyScanningIterators) {
   cost::CostModelParams params;
   params.simd_speedup = 4.0;  // pin so the test is host-independent
+  params.bitmap_speedup = 2.0;
   const cost::CostModel model(SkewedDegrees(64), params);
   const OrientSpec spec{PermutationKind::kDescending, 0};
 
@@ -313,12 +324,16 @@ TEST(CostModelTest, WeightedCostMatchesPredictionCurrency) {
                    100.0 * params.lookup_op_weight);
 }
 
-TEST(CostModelTest, DerivedSimdSpeedupIsPositive) {
-  // simd_speedup <= 0 derives from the host's dispatch level; whatever
-  // the host, the derived divisor is at least the scalar 1.
+TEST(CostModelTest, DerivedSimdSpeedupIsTheMeasuredConstant) {
+  // simd_speedup <= 0 derives from the host's dispatch level: the SIMD
+  // backend is the merge on a scalar host, else the measured 1.1.
   const cost::CostModel model(SkewedDegrees(16));
-  EXPECT_GE(model.params().simd_speedup, 1.0);
-  EXPECT_GE(model.BackendSpeedup(IntersectBackend::kSimd), 1.0);
+  const double want = ActiveSimdLevel() == SimdLevel::kScalar
+                          ? 1.0
+                          : cost::kMeasuredSimdSpeedup;
+  EXPECT_DOUBLE_EQ(cost::kMeasuredSimdSpeedup, 1.1);
+  EXPECT_DOUBLE_EQ(model.params().simd_speedup, want);
+  EXPECT_DOUBLE_EQ(model.BackendSpeedup(IntersectBackend::kSimd), want);
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 #include <cmath>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/algo/cost.h"
@@ -34,6 +35,11 @@ bool HasSei(const std::vector<Method>& methods) {
 }
 
 TEST(PlannerTest, CandidateAxesAreAsDocumented) {
+  const std::vector<Method> methods{Method::kT1, Method::kT2, Method::kE1,
+                                    Method::kE4, Method::kL1, Method::kL2};
+  EXPECT_EQ(PlannerMethodCandidates(), methods);
+  // `--methods fundamental` keeps its meaning.
+  EXPECT_EQ(FundamentalMethods().size(), 4u);
   const auto& orders = PlannerOrderCandidates();
   EXPECT_EQ(orders.size(), 5u);
   EXPECT_EQ(std::count(orders.begin(), orders.end(),
@@ -58,7 +64,7 @@ TEST(PlannerTest, FullAutoMatchesManualEnumeration) {
 
   double manual_best = std::numeric_limits<double>::infinity();
   size_t manual_count = 0;
-  for (const Method m : FundamentalMethods()) {
+  for (const Method m : PlannerMethodCandidates()) {
     for (const PermutationKind kind : PlannerOrderCandidates()) {
       const std::vector<IntersectBackend> backends =
           HasSei({m}) ? PlannerBackendCandidates()
@@ -71,6 +77,8 @@ TEST(PlannerTest, FullAutoMatchesManualEnumeration) {
     }
   }
   EXPECT_EQ(plan.candidates.size(), manual_count);
+  // T1, T2, L1, L2 x 5 orders + E1, E4 x 5 orders x 3 backends.
+  EXPECT_EQ(manual_count, 50u);
   EXPECT_DOUBLE_EQ(plan.chosen.predicted_cost, manual_best);
 
   // The ranking is sorted ascending and the argmin leads it.
@@ -81,6 +89,42 @@ TEST(PlannerTest, FullAutoMatchesManualEnumeration) {
     EXPECT_LE(plan.candidates[i - 1].predicted_cost,
               plan.candidates[i].predicted_cost);
   }
+}
+
+// L2 and T1 (L1 and T2) predict identical ops under every order, and the
+// vertex twin is enumerated first: the lookup wins only if its weight is
+// strictly lower. Losing that tie would plan T1 and its arc index.
+TEST(PlannerTest, LookupBeatsItsVertexTwin) {
+  const cost::CostModel model(ParetoLikeDegrees(256));
+  for (const PermutationKind kind : PlannerOrderCandidates()) {
+    const OrientSpec spec{kind, 0};
+    for (const auto& [lookup, vertex] :
+         {std::pair{Method::kL2, Method::kT1},
+          std::pair{Method::kL1, Method::kT2}}) {
+      EXPECT_DOUBLE_EQ(model.PredictedOps(spec, lookup),
+                       model.PredictedOps(spec, vertex))
+          << spec.Key() << " " << MethodName(lookup);
+      EXPECT_LT(
+          model.PredictedCost(spec, lookup, IntersectBackend::kMerge),
+          model.PredictedCost(spec, vertex, IntersectBackend::kMerge))
+          << spec.Key() << " " << MethodName(lookup);
+    }
+  }
+}
+
+TEST(PlannerTest, FullAutoPicksALookupOnParetoDegrees) {
+  const cost::CostModel model(ParetoLikeDegrees(256));
+  PlannerRequest req;
+  req.auto_method = true;
+  req.auto_order = true;
+  req.auto_intersect = true;
+  const PlanResult plan = ResolvePlan(model, req);
+  ASSERT_EQ(plan.chosen.methods.size(), 1u);
+  EXPECT_EQ(MethodFamily(plan.chosen.methods[0]),
+            Family::kLookupEdgeIterator)
+      << MethodName(plan.chosen.methods[0]);
+  // No intersection loop, so the backend axis collapsed to the merge.
+  EXPECT_EQ(plan.chosen.intersect, IntersectBackend::kMerge);
 }
 
 TEST(PlannerTest, PinnedAxesAreNeverOverridden) {

@@ -409,7 +409,7 @@ bool ParseRunFlags(const char* sub, const Flags& flags, RunSpec* spec) {
   spec->orient = OrientSpec{order, spec->seed};
   spec->methods.clear();
   // --methods (or the singular --method) accepts "auto": the planner
-  // races the fundamental representatives and runs the cheapest.
+  // races PlannerMethodCandidates() and runs the cheapest.
   std::string methods_flag = flags.Get("methods");
   if (methods_flag.empty()) methods_flag = flags.Get("method");
   if (methods_flag == "auto") {

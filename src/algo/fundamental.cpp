@@ -53,6 +53,57 @@ struct SinkEmit {
 template <typename Emit>
 constexpr bool kCountOnly = std::is_same_v<Emit, NoEmit>;
 
+/// The count-only E_k slices' direct merges, run two positions at a time
+/// by IntersectMergePairCount (intersect.h): a position is held until the
+/// next one arrives, and a position left over at the end of a row
+/// (Flush) merges alone. A position whose two lists differ in length by
+/// more than kMaxSkew merges alone at once, since only IntersectMergeT
+/// skips the long runs such a pair has. On the hub graph (`generate --n
+/// 100000 --alpha 1.3 --trunc linear`, theta_D), min of 2-3 alternating
+/// runs against 16: no guard ran E3, E4 and E6 2.2-2.8x slower, a ratio
+/// of 4 ran E1 and E3-E6 2-19% slower, and 64 measured alike. Both ways
+/// count what IntersectMergeT counts, so every counter is unchanged.
+class PairedMerge {
+ public:
+  static constexpr size_t kMaxSkew = 16;
+
+  void Add(std::span<const NodeId> a, std::span<const NodeId> b) {
+    if (a.empty() || b.empty()) return;  // no step, no match
+    if (a.size() > kMaxSkew * b.size() || b.size() > kMaxSkew * a.size()) {
+      Alone(a, b);
+    } else if (!held_) {
+      held_a_ = a;
+      held_b_ = b;
+      held_ = true;
+    } else {
+      const auto lanes = IntersectMergePairCount(held_a_, held_b_, a, b);
+      comparisons_ += lanes[0].comparisons + lanes[1].comparisons;
+      matches_ += lanes[0].matches + lanes[1].matches;
+      held_ = false;
+    }
+  }
+
+  /// Merges the held position, if any.
+  void Flush() {
+    if (held_) Alone(held_a_, held_b_);
+    held_ = false;
+  }
+
+  int64_t comparisons() const { return comparisons_; }
+  int64_t matches() const { return matches_; }
+
+ private:
+  void Alone(std::span<const NodeId> a, std::span<const NodeId> b) {
+    comparisons_ += IntersectMergeT(a, b, [this](NodeId) { ++matches_; });
+  }
+
+  std::span<const NodeId> held_a_;
+  std::span<const NodeId> held_b_;
+  bool held_ = false;
+  int64_t comparisons_ = 0;
+  int64_t matches_ = 0;
+};
+
 /// The corner of pattern `p` playing `role`: the outer node o, the outer
 /// list's element w, or the found node c.
 constexpr NodeId Corner(const SearchPattern& p, Role role, NodeId o,
@@ -99,6 +150,13 @@ template <Method M, typename Emit, typename Isect>
     if (p0 == 0) ops.hash_inserts += static_cast<int64_t>(marked.size());
     if (p0 < p1) a.marker->MarkAll(marked);
   }
+  // Count-only E_k on the direct merge pairs its positions; the emitting
+  // slices and the engine backends merge each position as it comes, so
+  // emission stays in serial order.
+  constexpr bool kPaired = F == Family::kScanningEdgeIterator &&
+                           kCountOnly<Emit> &&
+                           std::is_same_v<Isect, sei::DirectMerge>;
+  [[maybe_unused]] PairedMerge paired;
   int64_t tri = 0;
   for (size_t p = p0; p < p1; ++p) {
     const NodeId w = outer[p];
@@ -140,23 +198,27 @@ template <Method M, typename Emit, typename Isect>
         if constexpr (P.restriction == Restriction::kBelow) {
           remote = sei::PrefixBelow(remote, o);
         }
-        constexpr Role C = FoundRole(P);
-        constexpr bool kLocalOut =
-            P.local == LocalPart::kOther ? !P.outer_out : P.outer_out;
         ops.local_scans += static_cast<int64_t>(local.size());
         ops.remote_scans += static_cast<int64_t>(remote.size());
-        // Both spans lie in c's label window: x in [0, y), y in
-        // (x, z), z in (y, n).
-        const NodeId lo =
-            C == Role::kX ? 0
-                          : Corner(P, C == Role::kY ? Role::kX : Role::kY,
-                                   o, w, 0) + 1;
-        const NodeId hi =
-            C == Role::kX   ? Corner(P, Role::kY, o, w, 0)
-            : C == Role::kY ? Corner(P, Role::kZ, o, w, 0)
-                            : static_cast<NodeId>(g.num_nodes());
-        isect(local, {o, kLocalOut}, remote, {w, P.remote_out}, lo, hi,
-              &ops.merge_comparisons, found);
+        if constexpr (kPaired) {
+          paired.Add(local, remote);
+        } else {
+          constexpr Role C = FoundRole(P);
+          constexpr bool kLocalOut =
+              P.local == LocalPart::kOther ? !P.outer_out : P.outer_out;
+          // Both spans lie in c's label window: x in [0, y), y in
+          // (x, z), z in (y, n).
+          const NodeId lo =
+              C == Role::kX ? 0
+                            : Corner(P, C == Role::kY ? Role::kX : Role::kY,
+                                     o, w, 0) + 1;
+          const NodeId hi =
+              C == Role::kX   ? Corner(P, Role::kY, o, w, 0)
+              : C == Role::kY ? Corner(P, Role::kZ, o, w, 0)
+                              : static_cast<NodeId>(g.num_nodes());
+          isect(local, {o, kLocalOut}, remote, {w, P.remote_out}, lo, hi,
+                &ops.merge_comparisons, found);
+        }
       } else {
         // A remote list cut below o is its sorted prefix: the probes stop
         // at o, with no search for the cut.
@@ -175,6 +237,11 @@ template <Method M, typename Emit, typename Isect>
         ops.lookups += probes;
       }
     }
+  }
+  if constexpr (kPaired) {
+    paired.Flush();
+    ops.merge_comparisons += paired.comparisons();
+    tri += paired.matches();
   }
   ops.triangles += tri;
 }

@@ -53,7 +53,11 @@
 /// policy (sei::DirectMerge / sei::EngineIsect), so each combination is
 /// its own devirtualized instantiation. A null sink selects the count-only
 /// instantiation: no triangle is emitted, and OpCounts::triangles — exact
-/// for every slice — is the count.
+/// for every slice — is the count. The count-only E_k slices on the
+/// direct merge intersect a row's outer positions two at a time
+/// (IntersectMergePairCount, intersect.h), with the single merge's
+/// counts; the emitting slices merge one position at a time, so they emit
+/// in serial order.
 
 namespace trilist {
 

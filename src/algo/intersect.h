@@ -1,5 +1,6 @@
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <span>
 #include <utility>
@@ -43,6 +44,17 @@
 /// are exactly the textbook three-way loop's steps on any sorted input,
 /// strict or not, so the comparison count (the paper's
 /// merge_comparisons), emission order and multiplicity are unchanged.
+///
+/// Each branch-free step still waits for the load its previous cursor
+/// advance chose, so one merge is a chain of dependent loads.
+/// IntersectMergePairCount runs two independent merges in one loop, a
+/// step of each per iteration, so the two chains overlap. It only counts:
+/// a lane that stops after i_end and j_end elements of its lists with
+/// `matches` matches took i_end + j_end - matches steps of the three-way
+/// loop (every step advances one cursor, or both on a match), which is
+/// the count IntersectMergeT would return. When one lane runs out, the
+/// other finishes in IntersectMergeT. The pair loop has no 8-step run
+/// skip, so callers pair only lists of comparable length.
 
 namespace trilist {
 
@@ -80,6 +92,49 @@ int64_t IntersectMergeT(std::span<const NodeId> a, std::span<const NodeId> b,
     j += y <= x;
   }
   return comparisons;
+}
+
+/// One count-only merge: the three-way loop's steps and the matches.
+struct MergeCount {
+  int64_t comparisons = 0;
+  int64_t matches = 0;
+};
+
+/// Intersects (a0, b0) and (a1, b1), two independent sorted pairs, in
+/// lockstep (see the file comment); each lane's comparisons equal
+/// IntersectMergeT's on the same pair.
+inline std::array<MergeCount, 2> IntersectMergePairCount(
+    std::span<const NodeId> a0, std::span<const NodeId> b0,
+    std::span<const NodeId> a1, std::span<const NodeId> b1) {
+  size_t i0 = 0;
+  size_t j0 = 0;
+  size_t i1 = 0;
+  size_t j1 = 0;
+  // Both lanes take one step per iteration, so `steps` counts either's.
+  int64_t steps = 0;
+  while ((i0 < a0.size()) & (j0 < b0.size()) & (i1 < a1.size()) &
+         (j1 < b1.size())) {
+    const NodeId x0 = a0[i0];
+    const NodeId y0 = b0[j0];
+    const NodeId x1 = a1[i1];
+    const NodeId y1 = b1[j1];
+    i0 += x0 <= y0;
+    j0 += y0 <= x0;
+    i1 += x1 <= y1;
+    j1 += y1 <= x1;
+    ++steps;
+  }
+  // A lane that advanced its cursors to i and j in `steps` steps matched
+  // i + j - steps times; the one with elements left finishes alone.
+  const auto finish = [steps](std::span<const NodeId> a,
+                              std::span<const NodeId> b, size_t i,
+                              size_t j) {
+    MergeCount lane{steps, static_cast<int64_t>(i + j) - steps};
+    lane.comparisons += IntersectMergeT(a.subspan(i), b.subspan(j),
+                                        [&lane](NodeId) { ++lane.matches; });
+    return lane;
+  };
+  return {finish(a0, b0, i0, j0), finish(a1, b1, i1, j1)};
 }
 
 namespace intersect_internal {

@@ -42,21 +42,27 @@
 /// three inputs with theta_D embedded: pareto (`generate --n 100000
 /// --alpha 1.5 --seed 1`), hub (`--alpha 1.3 --trunc linear`) and dense
 /// (G(1000, 1/2)); one 4-vCPU shared Intel Xeon with AVX-512, GCC 12.2,
-/// RelWithDebInfo. ns per paper op:
+/// RelWithDebInfo. ns per paper op (min of 12 rounds):
 ///
 ///   input   E1/merge  E1/simd  E1/bitmap   T1     L1     L2
-///   pareto    3.71      3.43     3.42     7.39   1.74   4.61
-///   hub       2.34      2.11     2.10     5.45   0.90   2.40
-///   dense     2.72      2.06     0.53     3.34   0.59   0.82
+///   pareto    3.00      4.29     4.57    10.59   2.31   6.50
+///   hub       1.89      3.01     2.73     7.87   1.29   3.26
+///   dense     1.41      2.51     0.66     4.25   0.96   1.01
 ///
+/// E1/merge runs two merges in flight (the count-only pair merge,
+/// fundamental.h); the simd and bitmap backends intersect one position at
+/// a time, so the merge beats simd on every input, and bitmap wins only
+/// on dense, where hub bitmaps cover every row.
 /// Each constant is the median of its ratios to E1/merge over the three
-/// inputs (L1 and L2 both price lookups), to two digits: vertex 2.0
-/// (1.23-2.33), lookup 0.43 (0.22-1.25), simd 1.1 (1.08-1.32), bitmap
-/// 1.1 (1.08-1.12, and 5.2 on dense, where hub bitmaps cover every
-/// row). Two orders matter more than the values: lookup < vertex, so a
-/// lookup iterator beats its vertex twin, whose predicted ops it equals,
-/// and whose arc index it does not build; and simd = bitmap, so the
-/// tie goes to simd, enumerated first, which builds no hub index.
+/// inputs (L1 and L2 both price lookups), to two digits: vertex 3.5
+/// (3.01-4.16), lookup 0.74 (0.68-2.17), simd 0.63 (0.56-0.70), bitmap
+/// 0.69 (0.66 on pareto, 2.1 on dense). Two orders matter more than the
+/// values: lookup < vertex, so a lookup iterator beats its vertex twin,
+/// whose predicted ops it equals, and whose arc index it does not build;
+/// and merge > simd, bitmap, so a pinned scanning method plans the merge.
+/// On a scalar host the simd backend runs the single merge and is priced
+/// at 1: it ties the merge, and the tie goes to the merge, enumerated
+/// first.
 
 namespace trilist::cost {
 
@@ -67,23 +73,24 @@ namespace trilist::cost {
 struct CostModelParams {
   /// Weight of one vertex-iterator candidate-tuple check (an arc probe),
   /// relative to one scanning-intersection step.
-  double vertex_op_weight = 2.0;
+  double vertex_op_weight = 3.5;
   /// Weight of one scanning-intersection step (the numeraire).
   double scan_op_weight = 1.0;
   /// Weight of one lookup (a marker load; lookup edge iterators). Below
   /// vertex_op_weight, so L2 (L1) beats T1 (T2) on equal ops.
-  double lookup_op_weight = 0.43;
+  double lookup_op_weight = 0.74;
 
-  /// SEI-only backend speedups (divide the weighted SEI cost).
-  /// simd_speedup <= 0 derives from ActiveSimdLevel(): 1 on a scalar
-  /// host (the SIMD backend runs the merge there), else
-  /// kMeasuredSimdSpeedup (measured on AVX-512; AVX2 is unmeasured).
+  /// SEI-only backend speedups (divide the weighted SEI cost); below 1
+  /// a backend is slower than the merge. simd_speedup <= 0 derives from
+  /// ActiveSimdLevel(): 1 on a scalar host (the SIMD backend runs the
+  /// single merge there), else kMeasuredSimdSpeedup (measured on
+  /// AVX-512; AVX2 is unmeasured).
   double simd_speedup = 0.0;
-  double bitmap_speedup = 1.1;
+  double bitmap_speedup = 0.69;
 };
 
-/// The measured E1/merge over E1/simd wall ratio (file comment).
-inline constexpr double kMeasuredSimdSpeedup = 1.1;
+/// The measured E1/simd over E1/merge speed ratio (file comment).
+inline constexpr double kMeasuredSimdSpeedup = 0.63;
 
 /// \brief Prices (method, ordering, backend) triples for one degree
 /// sequence. Thread-safe; memoizes per ordering: the first query of an

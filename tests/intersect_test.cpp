@@ -498,5 +498,68 @@ TEST(CpuFeaturesTest, ResolveSimdLevelRules) {
   EXPECT_STREQ(SimdLevelName(SimdLevel::kAvx512), "avx512");
 }
 
+// ---------------------------------------------------------------------------
+// Count-only pair merge (Strided is defined above).
+
+/// Runs IntersectMergePairCount on (a0, b0) and (a1, b1) and checks each
+/// lane against the three-way oracle on comparisons and matches.
+void ExpectPairLanesMatchOracle(const std::vector<NodeId>& a0,
+                                const std::vector<NodeId>& b0,
+                                const std::vector<NodeId>& a1,
+                                const std::vector<NodeId>& b1,
+                                const std::string& what) {
+  const auto lanes = IntersectMergePairCount(a0, b0, a1, b1);
+  const std::vector<NodeId>* const inputs[2][2] = {{&a0, &b0}, {&a1, &b1}};
+  for (int lane = 0; lane < 2; ++lane) {
+    std::vector<NodeId> matches;
+    const int64_t comparisons =
+        ThreeWayMerge(*inputs[lane][0], *inputs[lane][1], &matches);
+    EXPECT_EQ(lanes[lane].comparisons, comparisons)
+        << what << ", lane " << lane;
+    EXPECT_EQ(lanes[lane].matches, static_cast<int64_t>(matches.size()))
+        << what << ", lane " << lane;
+  }
+}
+
+TEST(PairMergeTest, RandomBalancedLanesMatchTheOracle) {
+  // Strict lists, as the E kernels pass, and non-strict ones (the closed
+  // form counts those too).
+  Rng rng(23);
+  for (unsigned trial = 0; trial < 300; ++trial) {
+    const auto a0 = Strided(rng.NextBounded(300), 0, 4 * trial);
+    const auto b0 = Strided(rng.NextBounded(300), 0, 4 * trial + 1);
+    const auto a1 = Strided(rng.NextBounded(300), 0, 4 * trial + 2);
+    const auto b1 = Strided(rng.NextBounded(300), 0, 4 * trial + 3);
+    ExpectPairLanesMatchOracle(a0, b0, a1, b1,
+                               "strict trial " + std::to_string(trial));
+    const auto c0 = SortedSample(rng.NextBounded(100), 30, &rng);
+    const auto d0 = SortedSample(rng.NextBounded(100), 30, &rng);
+    ExpectPairLanesMatchOracle(c0, d0, a1, b1,
+                               "non-strict trial " + std::to_string(trial));
+  }
+}
+
+TEST(PairMergeTest, EdgeCaseLanesMatchTheOracle) {
+  const std::vector<NodeId> empty;
+  const auto mid = Strided(200, 0, 31);
+  const auto other = Strided(200, 0, 32);
+  // 1:1000 skew each way: the short list spread over the long one's range.
+  const auto hub = Strided(3000, 0, 33);
+  const std::vector<NodeId> leaf = {hub[0], hub[1500] + 1, hub[2999]};
+  const auto above = Strided(200, 100000, 34);
+  const auto short_pair = Strided(3, 0, 35);
+
+  ExpectPairLanesMatchOracle(leaf, hub, hub, leaf, "1:1000 skew each way");
+  ExpectPairLanesMatchOracle(empty, mid, mid, other, "lane 0 empty");
+  ExpectPairLanesMatchOracle(mid, other, mid, empty, "lane 1 empty");
+  ExpectPairLanesMatchOracle(empty, empty, empty, empty, "both lanes empty");
+  ExpectPairLanesMatchOracle(mid, mid, other, other, "identical lists");
+  ExpectPairLanesMatchOracle(mid, above, above, mid, "disjoint ranges");
+  ExpectPairLanesMatchOracle(short_pair, other, mid, other,
+                             "lane 0 exhausted first");
+  ExpectPairLanesMatchOracle(mid, other, other, short_pair,
+                             "lane 1 exhausted first");
+}
+
 }  // namespace
 }  // namespace trilist

@@ -5,8 +5,8 @@
 /// \file exec_policy.h
 /// Execution policy for listing runs: how many threads to use and which
 /// intersection backend the scanning edge iterators run on. Lives in its
-/// own header so the registry can accept a policy without depending on
-/// the engine.
+/// own header so callers can build a policy without depending on the
+/// kernels.
 
 namespace trilist {
 
@@ -15,18 +15,17 @@ class BitmapIndex;
 }  // namespace simd
 
 /// \brief Sorted-span intersection backend of the SEI kernels (E1..E6,
-/// serial and parallel): the three the planner chooses between. Every
-/// backend emits the same triangles in the same order and reports the
-/// same OpCounts, merge_comparisons included: the SIMD and bitmap kernels
-/// account the scalar merge's comparison count.
+/// serial and parallel): the two the planner chooses between. Both emit
+/// the same triangles in the same order and report the same OpCounts,
+/// merge_comparisons included: the hub shortcut accounts the scalar
+/// merge's comparison count.
 enum class IntersectBackend {
-  kMerge = 0,  ///< scalar two-pointer merge (the reference; the default).
-  kSimd,       ///< vectorized block merge (AVX2/AVX-512, CPUID-dispatched).
-  kBitmap,     ///< degree-partitioned: hub bitmaps word-AND / bit-probe,
-               ///< low-degree rows on the vectorized merge.
+  kMerge = 0,  ///< the two-pointer merge (the reference; the default).
+  kBitmap,     ///< hub bitmaps word-AND / bit-probe in front of the
+               ///< merge, which takes every other position.
 };
 
-/// Name of a backend ("merge", "simd", "bitmap").
+/// Name of a backend ("merge", "bitmap").
 const char* IntersectBackendName(IntersectBackend backend);
 
 /// Parses a backend name; returns false (leaving *out untouched) on an
@@ -49,8 +48,9 @@ struct ExecPolicy {
 
   /// kBitmap only: a prebuilt index to reuse across methods and repeats
   /// (the Runner builds one per oriented graph under the "bitmap" stage).
-  /// Null = the dispatch layer builds a transient index per run, with the
-  /// auto hub threshold max(64, n/64) (see simd::BitmapIndex::Options).
+  /// Null = the dispatch layer (registry.cpp) builds a transient index per
+  /// run, with the auto hub threshold max(64, n/64) (see
+  /// simd::BitmapIndex::Options).
   std::shared_ptr<const simd::BitmapIndex> bitmap_index;
 };
 

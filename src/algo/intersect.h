@@ -14,8 +14,9 @@
 ///
 ///  * Merge: classic two-pointer scan, O(|A| + |B|); best when the lists
 ///    have comparable lengths (the paper's best case for intersection).
-///    The SEI backends (merge, simd, bitmap; see
-///    src/algo/simd/intersect_engine.h) all run it or account its count.
+///    Both SEI backends run it: bitmap only puts a hub shortcut in
+///    front of it (src/algo/simd/bitmap_index.h), which accounts the
+///    merge's count.
 ///  * Gallop: binary-search-assisted, O(|A| log(|B|/|A|)); best when one
 ///    list is much shorter (hub vs leaf adjacency).
 ///  * Auto: picks between the two from the length ratio.
@@ -27,10 +28,9 @@
 /// The kernels are templates taking any callable `emit(NodeId)`, so call
 /// sites inline the emission (devirtualized hot path). All kernels return
 /// the number of elementary comparisons performed. IntersectMergeT is the
-/// one counting two-pointer merge in the tree: the SEI DirectMerge policy,
-/// the engine's short spans (intersect_engine.h), the partitioned
-/// executors and the baselines all call it. (The SIMD block kernels'
-/// scalar tail keeps its own loop; intersect_simd.cpp says why.)
+/// one counting two-pointer merge in the tree: the emitting E_k slices,
+/// the partitioned executors and the baselines all call it, and the
+/// count-only E_k slices pair it (below).
 ///
 /// The merge step is branch-free: it compares a[i] with b[j] once and
 /// advances each cursor by a flag (i += a[i] <= b[j]; j += b[j] <= a[i]),

@@ -8,7 +8,6 @@
 
 #include "src/algo/fundamental.h"
 #include "src/algo/registry.h"
-#include "src/algo/simd/intersect_engine.h"
 #include "src/obs/trace.h"
 #include "src/util/parallel_for.h"
 
@@ -144,14 +143,10 @@ OpCounts RunParallel(Method m, const OrientedGraph& g,
     span.Arg("method", MethodName(m));
     span.Arg("shard", static_cast<int64_t>(c));
     span.Arg("v_begin", static_cast<int64_t>(cuts[c].node));
-    // Each chunk gets its own engine (the engine's scratch buffer is not
-    // thread-safe) over the one immutable index.
-    simd::IntersectEngine engine(policy.intersect,
-                                 policy.bitmap_index.get());
     std::unique_ptr<Marker> marker = markers.Take();
     ops[c] = RunSlice(m, g, arcs, cuts[c], cuts[c + 1],
-                      counter != nullptr ? nullptr : &buffers[c], &engine,
-                      marker.get());
+                      counter != nullptr ? nullptr : &buffers[c],
+                      policy.bitmap_index.get(), marker.get());
     markers.Return(std::move(marker));
     span.Arg("ops", ops[c].PaperCost());
   });

@@ -53,8 +53,8 @@ OpCounts RunMethodParallel(Method m, const OrientedGraph& g,
 
 /// The chunked executor: runs `m` on policy.threads workers, whatever that
 /// count. `arcs` is read by T1..T6 only and may be null for the other
-/// methods; kBitmap reads policy.bitmap_index (RunMethod supplies it) and
-/// merges every span without one.
+/// methods. A set policy.bitmap_index puts its hub shortcut in front of
+/// the E1..E6 merges; RunMethod sets it under kBitmap only.
 OpCounts RunParallel(Method m, const OrientedGraph& g,
                      const DirectedEdgeSet* arcs, TriangleSink* sink,
                      const ExecPolicy& policy);

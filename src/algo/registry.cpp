@@ -1,10 +1,29 @@
 #include "src/algo/registry.h"
 
+#include <cstring>
+#include <memory>
+
 #include "src/algo/fundamental.h"
 #include "src/algo/parallel_engine.h"
-#include "src/algo/simd/intersect_engine.h"
+#include "src/algo/simd/bitmap_index.h"
 
 namespace trilist {
+
+const char* IntersectBackendName(IntersectBackend backend) {
+  return backend == IntersectBackend::kBitmap ? "bitmap" : "merge";
+}
+
+bool ParseIntersectBackend(const char* name, IntersectBackend* out) {
+  if (name == nullptr) return false;
+  if (std::strcmp(name, "merge") == 0) {
+    *out = IntersectBackend::kMerge;
+  } else if (std::strcmp(name, "bitmap") == 0) {
+    *out = IntersectBackend::kBitmap;
+  } else {
+    return false;
+  }
+  return true;
+}
 
 namespace {
 
@@ -13,17 +32,21 @@ namespace {
 OpCounts Dispatch(Method m, const OrientedGraph& g,
                   const DirectedEdgeSet* arcs, TriangleSink* sink,
                   const ExecPolicy& exec) {
-  // For kBitmap, one index per run (the policy's, or one built here),
-  // shared by every arc and every worker.
+  // For kBitmap on a scanning edge iterator, one index per run (the
+  // policy's, or one built here), shared by every worker; null otherwise,
+  // which runs the merge alone.
   ExecPolicy policy = exec;
-  if (MethodFamily(m) == Family::kScanningEdgeIterator) {
-    policy.bitmap_index = simd::EnsureBitmapIndex(exec, g);
+  if (policy.intersect != IntersectBackend::kBitmap ||
+      MethodFamily(m) != Family::kScanningEdgeIterator) {
+    policy.bitmap_index = nullptr;
+  } else if (policy.bitmap_index == nullptr) {
+    policy.bitmap_index =
+        std::make_shared<const simd::BitmapIndex>(simd::BitmapIndex::Build(g));
   }
   if (policy.threads > 1 && g.num_nodes() > 0) {
     return RunParallel(m, g, arcs, sink, policy);
   }
-  simd::IntersectEngine engine(policy.intersect, policy.bitmap_index.get());
-  return RunSerial(m, g, arcs, sink, &engine);
+  return RunSerial(m, g, arcs, sink, policy.bitmap_index.get());
 }
 
 }  // namespace

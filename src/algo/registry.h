@@ -20,9 +20,8 @@ namespace trilist {
 ///  - With exec.threads > 1 every method runs on the parallel engine (see
 ///    parallel_engine.h), which reports bit-identical triangles and
 ///    counters to the serial run.
-///  - The scanning edge iterators intersect through one
-///    simd::IntersectEngine on exec.intersect (and, for kBitmap, the
-///    policy's index or one built for this run).
+///  - The scanning edge iterators merge; under kBitmap the policy's hub
+///    index (or one built for this run) takes the hub positions first.
 OpCounts RunMethod(Method m, const OrientedGraph& g,
                    const DirectedEdgeSet& arcs, TriangleSink* sink,
                    const ExecPolicy& exec = {});

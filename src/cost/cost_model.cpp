@@ -5,28 +5,14 @@
 
 #include "src/obs/trace.h"
 #include "src/order/registry.h"
-#include "src/util/cpu_features.h"
 
 namespace trilist::cost {
-
-namespace {
-
-double DerivedSimdSpeedup() {
-  return ActiveSimdLevel() == SimdLevel::kScalar ? 1.0
-                                                  : kMeasuredSimdSpeedup;
-}
-
-}  // namespace
 
 CostModel::CostModel(std::vector<int64_t> ascending_degrees,
                      CostModelParams params)
     : ascending_degrees_(std::move(ascending_degrees)),
       ascending_runs_(CompressRuns(ascending_degrees_)),
-      params_(params) {
-  if (params_.simd_speedup <= 0) {
-    params_.simd_speedup = DerivedSimdSpeedup();
-  }
-}
+      params_(params) {}
 
 double CostModel::PredictedOps(const OrientSpec& orient, Method m) const {
   const size_t n = ascending_degrees_.size();
@@ -70,7 +56,6 @@ double CostModel::FamilyWeight(Method m) const {
 
 double CostModel::BackendSpeedup(IntersectBackend backend) const {
   switch (backend) {
-    case IntersectBackend::kSimd: return params_.simd_speedup;
     case IntersectBackend::kBitmap: return params_.bitmap_speedup;
     case IntersectBackend::kMerge: return 1.0;
   }

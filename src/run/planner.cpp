@@ -26,7 +26,6 @@ const std::vector<PermutationKind>& PlannerOrderCandidates() {
 const std::vector<IntersectBackend>& PlannerBackendCandidates() {
   static const std::vector<IntersectBackend> backends{
       IntersectBackend::kMerge,
-      IntersectBackend::kSimd,
       IntersectBackend::kBitmap,
   };
   return backends;

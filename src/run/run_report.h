@@ -47,8 +47,8 @@ inline constexpr int kRunReportSchemaVersion = 5;
 struct MethodReport {
   Method method = Method::kE1;
   uint64_t triangles = 0;    ///< triangles listed (identical across repeats).
-  /// Intersection backend the method's kernels dispatched to ("merge",
-  /// "simd", ...); "none" for families that never intersect (T*, L*).
+  /// Intersection backend the method's kernels ran on ("merge" or
+  /// "bitmap"); "none" for families that never intersect (T*, L*).
   std::string intersect_backend = "none";
   OpCounts ops;              ///< operation counters of one pass.
   /// Closed-form cost of this method on the realized orientation (Tables
@@ -103,9 +103,8 @@ struct RunReport {
   int repeats = 1;
   /// Requested intersection backend of the run (ExecPolicy::intersect).
   std::string intersect_backend = "merge";
-  /// SIMD level the process dispatches to (cpu_features.h; reflects the
-  /// TRILIST_FORCE_SCALAR / TRILIST_SIMD overrides), regardless of
-  /// whether the chosen backend vectorizes.
+  /// Widest SIMD level the CPU supports (cpu_features.h): provenance of
+  /// the host, which no kernel dispatches on.
   std::string simd_level = "scalar";
 
   /// Planner audit trail (PlanFlags runs only; planned = false otherwise).

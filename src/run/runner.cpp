@@ -8,7 +8,7 @@
 
 #include "src/algo/cost.h"
 #include "src/algo/registry.h"
-#include "src/algo/simd/intersect_engine.h"
+#include "src/algo/simd/bitmap_index.h"
 #include "src/cost/cost_model.h"
 #include "src/degree/degree_sequence.h"
 #include "src/degree/degree_stats.h"
@@ -258,7 +258,8 @@ Status ListOnOriented(const OrientedGraph& oriented,
   if (needs_bitmap) {
     report->stages.Time("bitmap", [&] {
       TRILIST_TRACE_SPAN("bitmap");
-      exec.bitmap_index = simd::EnsureBitmapIndex(exec, oriented);
+      exec.bitmap_index = std::make_shared<const simd::BitmapIndex>(
+          simd::BitmapIndex::Build(oriented));
     });
   }
 

@@ -1,35 +1,6 @@
 #include "src/util/cpu_features.h"
 
-#include <cstdlib>
-#include <cstring>
-
 namespace trilist {
-namespace {
-
-SimdLevel QueryCpu() {
-#if defined(__x86_64__) || defined(_M_X64)
-  // __builtin_cpu_supports reads CPUID once at startup via libgcc's
-  // cpu-model resolver; these calls are just flag tests.
-  if (__builtin_cpu_supports("avx512f")) return SimdLevel::kAvx512;
-  if (__builtin_cpu_supports("avx2")) return SimdLevel::kAvx2;
-#endif
-  return SimdLevel::kScalar;
-}
-
-SimdLevel ParseLevel(const char* name, SimdLevel fallback) {
-  if (name == nullptr) return fallback;
-  if (std::strcmp(name, "scalar") == 0) return SimdLevel::kScalar;
-  if (std::strcmp(name, "avx2") == 0) return SimdLevel::kAvx2;
-  if (std::strcmp(name, "avx512") == 0) return SimdLevel::kAvx512;
-  return fallback;
-}
-
-// The active level is mutable only through SetActiveSimdLevelForTest;
-// kernel dispatch reads it as a plain load.
-SimdLevel g_active = SimdLevel::kScalar;
-bool g_active_resolved = false;
-
-}  // namespace
 
 const char* SimdLevelName(SimdLevel level) {
   switch (level) {
@@ -43,36 +14,17 @@ const char* SimdLevelName(SimdLevel level) {
   return "scalar";
 }
 
-SimdLevel DetectedSimdLevel() {
-  static const SimdLevel detected = QueryCpu();
-  return detected;
-}
-
-SimdLevel ResolveSimdLevel(SimdLevel detected, const char* force_scalar,
-                           const char* simd) {
-  if (force_scalar != nullptr && force_scalar[0] != '\0' &&
-      std::strcmp(force_scalar, "0") != 0) {
-    return SimdLevel::kScalar;
-  }
-  SimdLevel requested = ParseLevel(simd, detected);
-  return requested < detected ? requested : detected;
-}
-
 SimdLevel ActiveSimdLevel() {
-  if (!g_active_resolved) {
-    g_active =
-        ResolveSimdLevel(DetectedSimdLevel(),
-                         std::getenv("TRILIST_FORCE_SCALAR"),
-                         std::getenv("TRILIST_SIMD"));
-    g_active_resolved = true;
-  }
-  return g_active;
-}
-
-void SetActiveSimdLevelForTest(SimdLevel level) {
-  SimdLevel detected = DetectedSimdLevel();
-  g_active = level < detected ? level : detected;
-  g_active_resolved = true;
+  static const SimdLevel level = [] {
+#if defined(__x86_64__) || defined(_M_X64)
+    // __builtin_cpu_supports reads CPUID once at startup via libgcc's
+    // cpu-model resolver; these calls are just flag tests.
+    if (__builtin_cpu_supports("avx512f")) return SimdLevel::kAvx512;
+    if (__builtin_cpu_supports("avx2")) return SimdLevel::kAvx2;
+#endif
+    return SimdLevel::kScalar;
+  }();
+  return level;
 }
 
 }  // namespace trilist

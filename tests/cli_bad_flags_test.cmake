@@ -50,14 +50,18 @@ expect_unknown_flag(method query --connect 127.0.0.1:1 --graph g
 expect_unknown_flag(ops mutate --connect 127.0.0.1:1 --graph g
                     --add 1:2 --ops x.log)
 
-# Retired options: gallop is no intersect backend (the message lists the
-# ones there are), and the bitmap hub threshold is no flag.
-execute_process(
-  COMMAND "${CLI}" run --n 50 --intersect gallop
-  RESULT_VARIABLE result OUTPUT_VARIABLE out ERROR_VARIABLE err)
-if(NOT result EQUAL 2 OR NOT err MATCHES "merge\\|simd\\|bitmap\\|auto")
-  message(FATAL_ERROR "--intersect gallop exited ${result}: ${out} ${err}")
-endif()
+# Retired options: gallop and simd are no intersect backends (the message
+# lists the ones there are), and the bitmap hub threshold is no flag.
+foreach(retired gallop simd)
+  execute_process(
+    COMMAND "${CLI}" run --n 50 --intersect ${retired}
+    RESULT_VARIABLE result OUTPUT_VARIABLE out ERROR_VARIABLE err)
+  if(NOT result EQUAL 2 OR NOT err MATCHES
+     "unknown intersect backend '${retired}' \\(merge\\|bitmap\\|auto\\)")
+    message(FATAL_ERROR
+            "--intersect ${retired} exited ${result}: ${out} ${err}")
+  endif()
+endforeach()
 expect_unknown_flag(bitmap-min-degree run --n 50 --intersect bitmap
                     --bitmap-min-degree 4)
 expect_unknown_flag(bitmap-min-degree count --in x.txt

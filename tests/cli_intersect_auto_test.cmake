@@ -34,7 +34,7 @@ expect_auto(E1 plan methods 0)
 expect_auto(theta_D plan order)
 
 string(JSON backend GET "${auto_out}" plan intersect)
-if(NOT backend MATCHES "^(merge|simd|bitmap)$")
+if(NOT backend MATCHES "^(merge|bitmap)$")
   message(FATAL_ERROR "plan.intersect is '${backend}'")
 endif()
 string(JSON exec_backend GET "${auto_out}" exec intersect)

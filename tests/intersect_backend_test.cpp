@@ -6,7 +6,6 @@
 
 #include "src/algo/registry.h"
 #include "src/algo/simd/bitmap_index.h"
-#include "src/algo/simd/intersect_engine.h"
 #include "src/algo/triangle_sink.h"
 #include "src/gen/erdos_renyi.h"
 #include "src/graph/builder.h"
@@ -17,11 +16,11 @@
 #include "tests/expect_same_ops.h"
 
 /// \file intersect_backend_test.cpp
-/// Cross-backend parity for the scanning edge iterators: every
-/// intersection backend (merge, simd, bitmap) must list the exact same
+/// Cross-backend parity for the scanning edge iterators: both
+/// intersection backends (merge, bitmap) must list the exact same
 /// triangles in the exact same order, serial and parallel, and report
-/// identical OpCounts, merge_comparisons included (the SIMD and bitmap
-/// kernels account the scalar merge's count). The paper's cost metric
+/// identical OpCounts, merge_comparisons included (the hub shortcut
+/// accounts the scalar merge's count). The paper's cost metric
 /// (local + remote scans) is backend-independent by construction, and the
 /// per-node attribution invariant measured == PaperCost must survive
 /// backend routing.
@@ -33,12 +32,11 @@ constexpr Method kSeiMethods[] = {Method::kE1, Method::kE2, Method::kE3,
                                   Method::kE4, Method::kE5, Method::kE6};
 
 constexpr IntersectBackend kAllBackends[] = {IntersectBackend::kMerge,
-                                             IntersectBackend::kSimd,
                                              IntersectBackend::kBitmap};
 
-/// Graphs chosen to hit every engine path: hub-heavy stars and power-law
-/// tails (bitmap word-AND + probes), dense blocks (vector blocks), and
-/// sparse noise (scalar tails / short-span early outs).
+/// Graphs chosen to hit every path: hub-heavy stars and power-law tails
+/// (bitmap word-AND + probes beside merged positions), dense blocks
+/// (long merges), and sparse noise (short and empty spans).
 OrientedGraph MakeOriented(const std::string& kind, PermutationKind order) {
   Rng rng(4242);
   Graph g = MakeEmpty(0);
@@ -74,13 +72,20 @@ OrientedGraph MakeOriented(const std::string& kind, PermutationKind order) {
   return OrientNamed(g, order, &orient_rng);
 }
 
+/// A bitmap index whose hubs are the rows of at least `min_degree`
+/// neighbors.
+std::shared_ptr<const simd::BitmapIndex> Hubs(const OrientedGraph& og,
+                                              int64_t min_degree) {
+  simd::BitmapIndex::Options opts;
+  opts.min_degree = min_degree;
+  return std::make_shared<const simd::BitmapIndex>(
+      simd::BitmapIndex::Build(og, opts));
+}
+
 /// A bitmap index with every nonempty row a hub (threshold 1), so the
 /// word-AND path actually runs even on small test graphs.
 std::shared_ptr<const simd::BitmapIndex> AllHubs(const OrientedGraph& og) {
-  simd::BitmapIndex::Options opts;
-  opts.min_degree = 1;
-  return std::make_shared<const simd::BitmapIndex>(
-      simd::BitmapIndex::Build(og, opts));
+  return Hubs(og, 1);
 }
 
 /// A policy on `backend`; `hubs` (may be null: the auto threshold) is the
@@ -137,6 +142,40 @@ TEST(IntersectBackendTest, ParallelParityAcrossAllBackends) {
             RunMethod(m, og, &sink, PolicyFor(backend, 3, hubs));
         ExpectSameOps(got, ref, label);
         EXPECT_EQ(sink.triangles(), ref_sink.triangles()) << label;
+      }
+    }
+  }
+}
+
+TEST(IntersectBackendTest, CountOnlyParityAcrossAllBackends) {
+  // A CountingSink runs the count-only slices, which merge positions two
+  // at a time; under bitmap the hub shortcut takes its positions first
+  // and the rest pair as on the merge backend. With the auto threshold
+  // (on most graphs here: no hub), a threshold of 8 (hub and non-hub
+  // rows meet in one slice) and every row a hub, both backends must
+  // report the emitting merge's OpCounts at 1 and 3 threads.
+  for (const std::string kind :
+       {"gnp_dense", "gnp_sparse", "star_plus", "k12", "pareto_a1.3"}) {
+    const OrientedGraph og = MakeOriented(kind, PermutationKind::kDescending);
+    for (const int64_t min_degree : {0, 8, 1}) {
+      const auto hubs = min_degree > 0 ? Hubs(og, min_degree) : nullptr;
+      for (const Method m : kSeiMethods) {
+        CollectingSink ref_sink;
+        const OpCounts ref = RunMethod(m, og, &ref_sink);
+        for (const int threads : {1, 3}) {
+          for (const IntersectBackend backend : kAllBackends) {
+            const std::string label =
+                kind + "/" + MethodName(m) + "/count/" +
+                IntersectBackendName(backend) + "/threads " +
+                std::to_string(threads) + "/hub degree " +
+                std::to_string(min_degree);
+            CountingSink sink;
+            const OpCounts got =
+                RunMethod(m, og, &sink, PolicyFor(backend, threads, hubs));
+            ExpectSameOps(got, ref, label);
+            EXPECT_EQ(sink.count(), ref_sink.triangles().size()) << label;
+          }
+        }
       }
     }
   }

@@ -17,7 +17,7 @@
 ///
 ///   trilist_cli count --in FILE [--method T1|T2|E1|E4|...|auto]
 ///                     [--order D|A|RR|CRR|U|degen|auto] [--seed S]
-///                     [--threads N] [--intersect merge|simd|bitmap|auto]
+///                     [--threads N] [--intersect merge|bitmap|auto]
 ///                     [--mem-budget SIZE]
 ///       Relabel + orient a graph and list its triangles with one
 ///       method, reporting the count, the operation metrics, the
@@ -29,7 +29,7 @@
 ///                    [--gen residual|config|gnp]]
 ///                   [--methods M1,M2,...|all|fundamental|auto]
 ///                   [--order O|auto] [--seed S] [--threads N]
-///                   [--intersect merge|simd|bitmap|auto] [--repeats R]
+///                   [--intersect merge|bitmap|auto] [--repeats R]
 ///                   [--report table|json] [--trace FILE.json]
 ///                   [--metrics FILE.prom] [--degree-profile]
 ///       The full RunSpec surface: acquire a graph (file or generated),
@@ -306,7 +306,7 @@ bool ParseIntersectFlag(const Flags& flags, RunSpec* spec) {
   }
   if (!ParseIntersectBackend(name.c_str(), &spec->exec.intersect)) {
     std::fprintf(stderr,
-                 "unknown intersect backend '%s' (merge|simd|bitmap|auto)\n",
+                 "unknown intersect backend '%s' (merge|bitmap|auto)\n",
                  name.c_str());
     return false;
   }
@@ -1207,10 +1207,8 @@ int CmdVersion(const Flags& /*flags*/) {
   const BuildInfo& info = GetBuildInfo();
   std::printf("%s\n", BuildInfoSummary());
   std::printf("  flags: %s\n", info.flags);
-  std::printf("  simd: %s (detected %s; active level after "
-              "TRILIST_FORCE_SCALAR/TRILIST_SIMD overrides)\n",
-              SimdLevelName(ActiveSimdLevel()),
-              SimdLevelName(DetectedSimdLevel()));
+  std::printf("  simd: %s (widest level the CPU supports)\n",
+              SimdLevelName(ActiveSimdLevel()));
   return 0;
 }
 
@@ -1236,7 +1234,7 @@ const std::vector<Subcommand>& Subcommands() {
        "            auto = pick the min-predicted-cost plan, Section 3)\n"
        "           [--seed S]   (theta_U's shuffle seed)\n"
        "           [--threads N]   (N > 1: parallel engine; 0 = hardware)\n"
-       "           [--intersect merge|simd|bitmap|auto]\n"
+       "           [--intersect merge|bitmap|auto]\n"
        "           (auto = the planner picks the backend; bitmap hubs are\n"
        "            rows of degree >= max(64, n/64))\n"
        "           [--mem-budget SIZE]   (e.g. 64M; E1/E2 run partitioned\n"
@@ -1251,7 +1249,7 @@ const std::vector<Subcommand>& Subcommands() {
        "           [--methods M1,M2,...|all|fundamental|auto] [--order O|auto]\n"
        "           (--method is accepted as a synonym of --methods)\n"
        "           [--seed S] [--threads N] [--repeats R]\n"
-       "           [--intersect merge|simd|bitmap|auto]\n"
+       "           [--intersect merge|bitmap|auto]\n"
        "           (auto = the planner picks the backend, alone or with\n"
        "            --methods/--order auto; the report's \"plan\" object\n"
        "            audits the choice)\n"
